@@ -9,8 +9,20 @@ Four buckets of propositions, all held from the system's point of view:
                   bel(system, bel(user, P))
   goals           goals the system has adopted
 
-Stored propositions may contain variables (read existentially); they are
-renamed apart on every query so callers never capture store variables.
+Stored propositions may contain variables (read existentially). Whether a
+proposition is ground is recorded once, when it is asserted. Each bucket
+files its ground propositions under (functor, arity) and, when the first
+argument is a constant, under (functor, arity, constant) too, as WAM
+first-argument indexing does. A query resolves its pattern's functor and
+first argument, takes the most specific key that fits, and unifies the
+ground propositions filed there as they are. Non-ground propositions are
+not indexed: every one of them is renamed apart on every query, so callers
+never capture store variables, and the candidates are merged back into
+insertion order.
+
+Renaming a ground proposition apart mints no ids, so skipping it leaves the
+NameSource counter where the plain scan of the whole bucket left it: plan,
+node and variable ids, and so transcripts, do not depend on the index.
 
 Queries arrive as goal terms (bel(...), bmb(...), world(...), plain facts)
 and answer with a list of substitutions, one per solution, in a stable
@@ -20,7 +32,10 @@ order: bucket insertion order, with derived readings after stored ones.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import heapq
+import itertools
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .errors import QueryError
 from .terms import (
@@ -33,6 +48,7 @@ from .terms import (
     Term,
     Var,
     canon,
+    is_ground,
     mk,
     rename_apart,
     unify,
@@ -60,6 +76,62 @@ class Perspective:
         return Perspective(self.hearer, self.speaker)
 
 
+# One stored proposition: (insertion number, proposition, is it ground).
+Entry = tuple[int, Term, bool]
+
+
+class _Store:
+    """One bucket: its propositions in insertion order, plus their index."""
+
+    def __init__(self, entries: Iterable[Entry] = ()):
+        self.entries: list[Entry] = []
+        self.keys: set[str] = set()
+        self.functors: set[str] = set()
+        self.ground: dict[tuple, list[Entry]] = {}
+        self.nonground: list[Entry] = []
+        for entry in entries:
+            self.add(entry, canon(entry[1]))
+
+    def add(self, entry: Entry, key: str) -> None:
+        _, prop, ground = entry
+        self.entries.append(entry)
+        self.keys.add(key)
+        if isinstance(prop, Compound):
+            self.functors.add(prop.functor)
+        if not ground:
+            self.nonground.append(entry)
+        elif isinstance(prop, Compound):
+            top = (prop.functor, len(prop.args))
+            self.ground.setdefault(top, []).append(entry)
+            if prop.args and isinstance(prop.args[0], Const):
+                self.ground.setdefault(top + (prop.args[0].name,), []).append(entry)
+
+    def candidates(self, key: tuple | None):
+        """Every entry that could unify with a pattern of this key, in order.
+
+        Insertion numbers are unique, so merging never compares propositions.
+        """
+        if key is None:
+            return self.entries
+        filed = self.ground.get(key, ())
+        if not self.nonground:
+            return filed
+        return heapq.merge(filed, self.nonground) if filed else self.nonground
+
+
+def _key(pattern: Term, s: Substitution) -> tuple | None:
+    """The most specific index key a pattern fits; None means any entry."""
+    pattern = s.walk(pattern)
+    if not isinstance(pattern, Compound):
+        return None
+    top = (pattern.functor, len(pattern.args))
+    if pattern.args:
+        first = s.walk(pattern.args[0])
+        if isinstance(first, Const):
+            return top + (first.name,)
+    return top
+
+
 class BeliefBase:
     def __init__(
         self,
@@ -72,40 +144,40 @@ class BeliefBase:
         self.names = names
         self.modifier_preds = list(modifier_preds or [])
         self.modifier_rel_preds = list(modifier_rel_preds or [])
-        self._buckets: dict[Bucket, list[Term]] = {b: [] for b in Bucket}
-        self._keys: dict[Bucket, set[str]] = {b: set() for b in Bucket}
+        self._stores: dict[Bucket, _Store] = {b: _Store() for b in Bucket}
+        self._seq = itertools.count()
         for name in objects:
             names.note_entity(name)
 
     # -- storage ------------------------------------------------------------
 
     def items(self, bucket: Bucket) -> list[Term]:
-        return list(self._buckets[bucket])
+        return [prop for _, prop, _ in self._stores[bucket].entries]
 
     def assert_prop(self, bucket: Bucket, prop: Term, s: Substitution | None = None) -> bool:
         """Add a proposition; returns False if an alpha-equal one is present."""
         if s is not None:
             prop = s.resolve(prop)
         key = canon(prop)
-        if key in self._keys[bucket]:
+        store = self._stores[bucket]
+        if key in store.keys:
             return False
-        self._buckets[bucket].append(prop)
-        self._keys[bucket].add(key)
+        store.add((next(self._seq), prop, is_ground(prop)), key)
         return True
 
     def retract_matching(self, bucket: Bucket, pattern: Term) -> list[Term]:
         """Remove every proposition unifying with pattern; returns removals."""
-        kept: list[Term] = []
+        kept: list[Entry] = []
         removed: list[Term] = []
-        for item in self._buckets[bucket]:
-            fresh = rename_apart(item, self.names)
+        for entry in self._stores[bucket].entries:
+            _, item, ground = entry
+            fresh = item if ground else rename_apart(item, self.names)
             if unify(pattern, fresh) is not None:
                 removed.append(item)
             else:
-                kept.append(item)
+                kept.append(entry)
         if removed:
-            self._buckets[bucket] = kept
-            self._keys[bucket] = {canon(i) for i in kept}
+            self._stores[bucket] = _Store(kept)
         return removed
 
     # -- queries ------------------------------------------------------------
@@ -211,8 +283,9 @@ class BeliefBase:
             return []
         out: list[Substitution] = []
         seen: set[str] = set()
+        store = self._stores[Bucket.COMMON_GROUND]
         for functor in self.modifier_preds:
-            for fact in self._buckets[Bucket.COMMON_GROUND]:
+            for _, fact, _ in store.candidates((functor, 2)):
                 if not (isinstance(fact, Compound) and fact.functor == functor):
                     continue
                 if len(fact.args) != 2:
@@ -253,13 +326,8 @@ class BeliefBase:
     def _query_fact(self, goal: Compound, s: Substitution) -> list[Substitution]:
         known = set(self.modifier_preds) | set(self.modifier_rel_preds)
         known.update(("category", "error", "achieve", "replace", "plan"))
-        stored = {
-            i.functor
-            for b in (Bucket.COMMON_GROUND, Bucket.PRIVATE)
-            for i in self._buckets[b]
-            if isinstance(i, Compound)
-        }
-        if goal.functor not in known and goal.functor not in stored:
+        stored = self._stores[Bucket.COMMON_GROUND].functors, self._stores[Bucket.PRIVATE].functors
+        if goal.functor not in known and not any(goal.functor in f for f in stored):
             raise QueryError(f"no way to answer {goal.functor}/{len(goal.args)} queries")
         out = self._scan(Bucket.COMMON_GROUND, goal, s)
         out.extend(self._scan(Bucket.PRIVATE, goal, s))
@@ -267,9 +335,8 @@ class BeliefBase:
 
     def _scan(self, bucket: Bucket, pattern: Term, s: Substitution) -> list[Substitution]:
         out: list[Substitution] = []
-        for item in self._buckets[bucket]:
-            fresh = rename_apart(item, self.names)
-            s2 = unify(pattern, fresh, s)
+        for _, item, ground in self._stores[bucket].candidates(_key(pattern, s)):
+            s2 = unify(pattern, item if ground else rename_apart(item, self.names), s)
             if s2 is not None:
                 out.append(s2)
         return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .beliefs import BeliefBase, Bucket
 from .collab import MentalState
-from .errors import NotUnderstoodError, ScenarioError
+from .errors import NotUnderstoodError, ScenarioError, TermSyntaxError
 from .schemas import build_library
 from .terms import (
     Compound,
@@ -107,7 +107,7 @@ def load_scenario(text: str, names: NameSource) -> Scenario:
 def _read_fact(line: str, lineno: int, names: NameSource, sc: Scenario) -> Term:
     try:
         fact = TermReader(names).read(line)
-    except Exception as err:
+    except TermSyntaxError as err:
         raise ScenarioError(str(err), lineno) from err
     if not isinstance(fact, Compound) or not fact.args:
         raise ScenarioError(f"a fact must be a compound: {line!r}", lineno)
@@ -133,7 +133,7 @@ def _read_turn(head: str, rest: str, colon: str, lineno: int, names: NameSource)
         for part in rest.split(";"):
             try:
                 acts.append(reader.read(part.strip()))
-            except Exception as err:
+            except TermSyntaxError as err:
                 raise ScenarioError(str(err), lineno) from err
         return Turn(lineno, "user", acts=acts)
     if rest == "run":
@@ -143,7 +143,7 @@ def _read_turn(head: str, rest: str, colon: str, lineno: int, names: NameSource)
         raise ScenarioError(f"a system turn is 'run' or 'expect <pattern>': {rest!r}", lineno)
     try:
         expect = reader.read(pattern.strip())
-    except Exception as err:
+    except TermSyntaxError as err:
         raise ScenarioError(str(err), lineno) from err
     return Turn(lineno, "system", expect=expect)
 

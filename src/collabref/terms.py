@@ -412,6 +412,12 @@ def is_ground(t: Term) -> bool:
 # Reading and writing term text
 # ---------------------------------------------------------------------------
 
+# Deepest nesting of compounds, lists, lambdas and `=` the reader accepts.
+# The engine walks terms recursively, so a deeper term would exhaust
+# Python's stack somewhere far from the text that caused it.
+MAX_TERM_DEPTH = 100
+
+
 class TermReader:
     """Parses term text.
 
@@ -425,6 +431,7 @@ class TermReader:
       lambda(X, Y, body)        two-param lambda
       a = b                     infix equality, usable at top level or as arg
 
+    Terms nested deeper than MAX_TERM_DEPTH raise TermSyntaxError.
     One reader instance keeps one variable table, so every `E` in a turn's
     worth of text is the same variable.
     """
@@ -435,20 +442,23 @@ class TermReader:
 
     def read(self, text: str) -> Term:
         tokens = _tokenize(text)
-        term, pos = self._parse(tokens, 0)
-        term, pos = self._maybe_eq(term, tokens, pos)
+        term, pos = self._parse(tokens, 0, 0)
+        term, pos = self._maybe_eq(term, tokens, pos, 0)
         if pos != len(tokens):
             raise TermSyntaxError(f"trailing input at token {pos} in {text!r}")
         return term
 
-    def _maybe_eq(self, left: Term, tokens: list[str], pos: int):
+    def _maybe_eq(self, left: Term, tokens: list[str], pos: int, depth: int):
         if pos < len(tokens) and tokens[pos] == "=":
-            right, pos = self._parse(tokens, pos + 1)
-            right, pos = self._maybe_eq(right, tokens, pos)
+            right, pos = self._parse(tokens, pos + 1, depth + 1)
+            right, pos = self._maybe_eq(right, tokens, pos, depth + 1)
             return mk("=", left, right), pos
         return left, pos
 
-    def _parse(self, tokens: list[str], pos: int) -> tuple[Term, int]:
+    def _parse(self, tokens: list[str], pos: int, depth: int) -> tuple[Term, int]:
+        """Parse one term whose enclosing structures number `depth`."""
+        if depth > MAX_TERM_DEPTH:
+            raise TermSyntaxError(f"term nested deeper than {MAX_TERM_DEPTH} levels")
         if pos >= len(tokens):
             raise TermSyntaxError("unexpected end of input")
         tok = tokens[pos]
@@ -458,8 +468,8 @@ class TermReader:
             if pos < len(tokens) and tokens[pos] == "]":
                 return ListTerm(()), pos + 1
             while True:
-                item, pos = self._parse(tokens, pos)
-                item, pos = self._maybe_eq(item, tokens, pos)
+                item, pos = self._parse(tokens, pos, depth + 1)
+                item, pos = self._maybe_eq(item, tokens, pos, depth + 1)
                 items.append(item)
                 if pos >= len(tokens):
                     raise TermSyntaxError("unterminated list")
@@ -479,8 +489,8 @@ class TermReader:
                 pos += 1
             else:
                 while True:
-                    arg, pos = self._parse(tokens, pos)
-                    arg, pos = self._maybe_eq(arg, tokens, pos)
+                    arg, pos = self._parse(tokens, pos, depth + 1)
+                    arg, pos = self._maybe_eq(arg, tokens, pos, depth + 1)
                     args.append(arg)
                     if pos >= len(tokens):
                         raise TermSyntaxError("unterminated argument list")

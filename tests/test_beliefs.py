@@ -2,7 +2,9 @@
 
 The randomized checks grade the query machinery against plain set
 membership over the very fact lines that were loaded, so the expected
-answers never pass through unification at all.
+answers never pass through unification at all. The property test grades
+the indexed store against a plain scan that renames apart and unifies
+every stored item, solution for solution and id for id.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from collabref import beliefs
 from collabref import (
     BeliefBase,
     Bucket,
@@ -25,7 +30,7 @@ from collabref import (
     read_term,
 )
 from collabref.beliefs import SYSTEM, USER, subset_filter
-from collabref.terms import Lam, ListTerm
+from collabref.terms import Compound, Lam, ListTerm, rename_apart, unify
 
 import worldgen
 
@@ -269,3 +274,174 @@ def test_perspective_flipped_is_an_involution():
 def test_subset_filter_keeps_input_order():
     items = [Const(n) for n in ["c", "a", "b"]]
     assert subset_filter(items, lambda i: i.name != "a") == [Const("c"), Const("b")]
+
+
+# -- the index against a plain scan -----------------------------------------
+
+_VARS = NameSource()
+X, Y, Z = (_VARS.fresh_var(n) for n in "XYZ")
+FREE = st.sampled_from([X, Y, Z])
+PARAM = _VARS.fresh_var("P")
+CONSTS = st.sampled_from([Const("a"), Const("b")])
+LAMBDAS = st.builds(lambda c: Lam((PARAM,), mk("colour", PARAM, c)), CONSTS)
+FUNCTORS = st.sampled_from(["colour", "size"])
+# common ground is drawn most often: every query form reads it
+BUCKETS = st.sampled_from(
+    [Bucket.COMMON_GROUND, Bucket.COMMON_GROUND, Bucket.PRIVATE, Bucket.USER_MODEL]
+)
+
+
+def one_in(n, rare, common):
+    """Draw from `rare` about once in n draws, else from `common`."""
+    return st.integers(1, n).flatmap(lambda i: rare if i == 1 else common)
+
+
+def term_args(leaf):
+    """Mostly leaves, so that several stored items often fit one pattern."""
+    nested = st.one_of(
+        LAMBDAS,
+        st.builds(lambda x: mk("f", x), leaf),
+        st.builds(lambda xs: ListTerm(tuple(xs)), st.lists(leaf, max_size=2)),
+    )
+    return one_in(4, nested, leaf)
+
+
+GROUND_ARGS = term_args(CONSTS)
+ANY_ARGS = term_args(st.one_of(CONSTS, FREE))
+
+
+def fact(functor, args, hole, var):
+    """A ground fact, or one with a free variable in argument `hole`."""
+    return mk(functor, *(var if i == hole else a for i, a in enumerate(args)))
+
+
+FACTS = one_in(
+    10,
+    st.sampled_from([mk("size"), Const("a")]),
+    st.builds(
+        fact,
+        FUNCTORS,
+        st.lists(GROUND_ARGS, min_size=1, max_size=2),
+        st.sampled_from([None, None, 0, 1]),
+        FREE,
+    ),
+)
+PATTERNS = st.builds(
+    lambda f, x, xs: Compound(f, (x, *xs)),
+    FUNCTORS,
+    st.one_of(FREE, CONSTS, LAMBDAS),
+    st.lists(ANY_ARGS, max_size=1),
+)
+OPS = st.one_of(
+    st.tuples(st.just("query"), st.sampled_from(["bmb", "system", "user"]), PATTERNS | FREE),
+    st.tuples(st.just("retract"), BUCKETS, PATTERNS),
+    st.tuples(st.just("assert"), BUCKETS, FACTS),
+)
+
+
+class PlainStore:
+    """Reference store: every query renames apart and unifies every item, in order."""
+
+    def __init__(self, names):
+        self.names = names
+        self.buckets = {b: [] for b in Bucket}
+
+    def assert_prop(self, bucket, prop):
+        if canon(prop) not in {canon(i) for i in self.buckets[bucket]}:
+            self.buckets[bucket].append(prop)
+
+    def scan(self, bucket, pattern):
+        out = []
+        for item in self.buckets[bucket]:
+            s = unify(pattern, rename_apart(item, self.names))
+            if s is not None:
+                out.append(s)
+        return out
+
+    def retract(self, bucket, pattern):
+        kept, removed = [], []
+        for item in self.buckets[bucket]:
+            hit = unify(pattern, rename_apart(item, self.names)) is not None
+            (removed if hit else kept).append(item)
+        self.buckets[bucket] = kept
+        return removed
+
+    def query(self, form, pattern):
+        """bmb reads common ground; bel(agent, P) reads the agent's bucket first."""
+        if form == "bmb":
+            return self.scan(Bucket.COMMON_GROUND, pattern)
+        agent, own = (SYSTEM, Bucket.PRIVATE) if form == "system" else (USER, Bucket.USER_MODEL)
+        sols = (
+            self.scan(own, pattern)
+            + self.scan(Bucket.COMMON_GROUND, mk("bel", agent, pattern))
+            + self.scan(Bucket.COMMON_GROUND, pattern)
+        )
+        seen, out = set(), []
+        for s in sols:
+            key = canon(pattern, s)
+            if key not in seen:
+                seen.add(key)
+                out.append(s)
+        return out
+
+
+def goal_of(form, pattern):
+    if form == "bmb":
+        return mk("bmb", SYSTEM, USER, pattern)
+    return mk("bel", SYSTEM if form == "system" else USER, pattern)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(BUCKETS, FACTS), min_size=4, max_size=30),
+    st.lists(OPS, min_size=1, max_size=15),
+)
+@example(  # a ground item filed after a non-ground one: order must survive the merge
+    [(Bucket.COMMON_GROUND, mk("colour", X)), (Bucket.COMMON_GROUND, mk("colour", Const("a")))],
+    [("query", "bmb", mk("colour", Y)), ("query", "bmb", mk("colour", Const("a")))],
+)
+def test_indexed_store_matches_a_plain_scan(stored, ops):
+    base = BeliefBase(["a", "b", "c"], NameSource(100))
+    plain = PlainStore(NameSource(100))
+    for op, where, term in [("assert", b, prop) for b, prop in stored] + ops:
+        if op == "assert":
+            base.assert_prop(where, term)
+            plain.assert_prop(where, term)
+        elif op == "retract":
+            assert base.retract_matching(where, term) == plain.retract(where, term)
+            assert base.items(where) == plain.buckets[where]
+        else:
+            goal = goal_of(where, term)
+            got = [canon(goal, s) for s in base.query(goal, PERSP, Substitution())]
+            want = [canon(goal, s) for s in plain.query(where, term)]
+            assert got == want
+    assert base.names.next_id() == plain.names.next_id()
+
+
+def test_constant_first_argument_query_touches_only_its_key(monkeypatch):
+    objects = [f"thing{i}" for i in range(1, 41)]
+    lines = [f"category({o}, {'creature' if i % 3 else 'lamp'})" for i, o in enumerate(objects)]
+    lines += [f"size({o}, {'small' if i % 2 else 'large'})" for i, o in enumerate(objects)]
+    lines += [f"assessment({o}, weird)" for o in objects[::5]]
+    base, names = fresh_base(objects, ["size", "assessment"])
+    load(base, names, Bucket.COMMON_GROUND, lines)
+
+    renamed, unified = [], []
+    real_rename, real_unify = beliefs.rename_apart, beliefs.unify
+    monkeypatch.setattr(
+        beliefs, "rename_apart", lambda t, n: renamed.append(t) or real_rename(t, n)
+    )
+    monkeypatch.setattr(beliefs, "unify", lambda *a: unified.append(a) or real_unify(*a))
+
+    got = answers(base, names, "bmb(system, user, size(thing7, X))")
+    filed = [line for line in lines if line.startswith("size(thing7,")]
+    assert got == [canon(read_term(f"bmb(system, user, {filed[0]})", names))]
+    assert renamed == []
+    assert len(unified) <= len(filed)
+
+    # an open first argument still reads only the facts of that functor
+    unified.clear()
+    got = answers(base, names, "bmb(system, user, size(X, large))")
+    assert len(got) == 20
+    assert renamed == []
+    assert len(unified) <= sum(line.startswith("size(") for line in lines)

@@ -7,6 +7,7 @@ import pytest
 from collabref import NameSource, ScenarioError, load_scenario, run_text
 from collabref.cli import main
 from collabref.scenario import run_scenario
+from collabref.terms import MAX_TERM_DEPTH
 
 from conftest import SCENARIO_DIR
 
@@ -211,6 +212,58 @@ def test_cli_run_exit_two_on_scenario_error(tmp_path, capsys):
 def test_cli_run_exit_two_on_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.scn")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def nested_scenario(act_depth=3, fact_depth=2):
+    """A scenario whose line 4 fact and line 6 user act nest that deep.
+
+    The depth counts the structures around the innermost leaf: in
+    `s-attrib(entity1, lambda(X, g(X)))` the last X is three levels down.
+    """
+    fact = "assessment(fern1, " + "g(" * (fact_depth - 1) + "a" + ")" * (fact_depth - 1) + ")"
+    body = "g(" * (act_depth - 2) + "X" + ")" * (act_depth - 2)
+    return (
+        "objects: fern1\n"
+        "common_ground:\n"
+        "  category(fern1, creature)\n"
+        f"  {fact}\n"
+        "turns:\n"
+        f"  user: s-refer(entity1); s-attrib(entity1, lambda(X, {body}))\n"
+        "  system: run\n"
+    )
+
+
+@pytest.mark.parametrize("depth", [450, 3000])
+def test_deeply_nested_act_is_a_scenario_error(depth):
+    with pytest.raises(ScenarioError, match="nested deeper") as err:
+        load(nested_scenario(act_depth=depth))
+    assert err.value.line == 6
+
+
+@pytest.mark.parametrize("depth", [450, 3000])
+def test_deeply_nested_fact_is_a_scenario_error(depth):
+    with pytest.raises(ScenarioError, match="nested deeper") as err:
+        load(nested_scenario(fact_depth=depth))
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("where", ["act_depth", "fact_depth"])
+@pytest.mark.parametrize("depth", [450, 3000])
+def test_cli_run_exit_two_on_deep_nesting(tmp_path, capsys, where, depth):
+    deep = tmp_path / "deep.scn"
+    deep.write_text(nested_scenario(**{where: depth}))
+    assert main(["run", str(deep)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["act_depth", "fact_depth"])
+def test_terms_at_the_nesting_limit_load_and_run(where):
+    text = nested_scenario(**{where: MAX_TERM_DEPTH})
+    sc = load(text)
+    assert len(sc.turns) == 2
+    assert run_text(text).lines[-1].startswith("dialogue ")
+    with pytest.raises(ScenarioError, match="nested deeper"):
+        load(nested_scenario(**{where: MAX_TERM_DEPTH + 1}))
 
 
 def test_cli_check_reports_every_bundled_scenario(capsys):
