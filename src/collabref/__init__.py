@@ -20,7 +20,6 @@ from .errors import (
     TermSyntaxError,
 )
 from .planner import (
-    EvaluationMode,
     EvaluationResult,
     InferenceResult,
     PlannerContext,
@@ -55,7 +54,7 @@ __all__ = [
     "CState", "Contribution", "EventLog", "MentalState",
     "EngineError", "NoPlanError", "NotUnderstoodError", "PlanError",
     "QueryError", "ScenarioError", "TermSyntaxError",
-    "EvaluationMode", "EvaluationResult", "InferenceResult", "PlannerContext",
+    "EvaluationResult", "InferenceResult", "PlannerContext",
     "Verdict", "complete_plan", "construct", "evaluate", "infer",
     "PlanDerivation", "PlanStatus",
     "Scenario", "Transcript", "build_state", "load_scenario", "run_scenario", "run_text",

@@ -72,9 +72,6 @@ class Perspective:
     speaker: str
     hearer: str
 
-    def flipped(self) -> "Perspective":
-        return Perspective(self.hearer, self.speaker)
-
 
 # One stored proposition: (insertion number, proposition, is it ground).
 Entry = tuple[int, Term, bool]
@@ -356,8 +353,3 @@ def _dedup(sols: list[Substitution], goal: Term) -> list[Substitution]:
             seen.add(key)
             out.append(s)
     return out
-
-
-def subset_filter(items: list[Term], test) -> list[Term]:
-    """Order-preserving filter used by description constraints and tests."""
-    return [i for i in items if test(i)]

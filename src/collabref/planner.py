@@ -51,6 +51,7 @@ from .terms import (
     canon,
     format_term,
     unify,
+    visit,
 )
 
 META_ROOTS: dict[str, list[str]] = {
@@ -60,28 +61,9 @@ META_ROOTS: dict[str, list[str]] = {
     "s-actions": ["replace-plan", "expand-plan"],
 }
 
+MODIFIER_SCHEMAS = ("modifier-absolute", "modifier-relative")
 SEARCH_CAP = 50_000
 MAX_REFER_DEPTH = 2
-
-
-@dataclass(frozen=True)
-class EvaluationMode:
-    """How charitable evaluation is toward the other speaker.
-
-    assume_speaker_beliefs: an unprovable belief of the current speaker's,
-    when it is part of what their utterance asserts anyway, is taken on
-    trust instead of failing the plan.
-    embedded_replan_derive_only: replanning succeeds as soon as the given
-    acts are derivable, leaving the judgment of the repaired plan to the
-    recorded verdict rather than failing the outer plan.
-    """
-
-    assume_speaker_beliefs: bool = False
-    embedded_replan_derive_only: bool = False
-
-
-INITIAL_MODE = EvaluationMode(False, False)
-CLARIFICATION_MODE = EvaluationMode(True, True)
 
 
 class Verdict(enum.Enum):
@@ -151,12 +133,10 @@ QUERY_FORMS = {
 
 
 def solve(
-    term: Term,
-    s: Substitution,
-    ctx: PlannerContext,
-    mode: EvaluationMode,
-    plan: PlanDerivation | None,
+    term: Term, s: Substitution, ctx: PlannerContext, clarifying: bool = False
 ) -> tuple[Outcome, list[Substitution]]:
+    """Solutions of one constraint. In a clarification (clarifying), replanning
+    against given acts only derives them and records its verdict on the plan."""
     t = s.resolve(term)
     if not isinstance(t, Compound):
         raise PlanError(f"cannot solve non-compound constraint {t!r}")
@@ -203,7 +183,7 @@ def solve(
         return Outcome.SOLS, ([s2] if s2 is not None else [])
 
     if f == "not" and len(t.args) == 1:
-        kind, sols = solve(t.args[0], s, ctx, mode, plan)
+        kind, sols = solve(t.args[0], s, ctx, clarifying)
         if kind is Outcome.DEFER:
             return Outcome.DEFER, []
         if kind is Outcome.ASSUME or sols:
@@ -270,7 +250,7 @@ def solve(
     if f == "replan" and len(t.args) == 2:
         if isinstance(s.walk(t.args[0]), Var):
             return Outcome.DEFER, []
-        return Outcome.SOLS, _solve_replan(t, s, ctx, mode)
+        return Outcome.SOLS, _solve_replan(t, s, ctx, clarifying)
 
     raise PlanError(f"no solver for constraint {f}/{len(t.args)}")
 
@@ -308,7 +288,7 @@ def _solve_yield(t: Compound, s: Substitution, ctx: PlannerContext) -> list[Subs
 
 
 def _solve_replan(
-    t: Compound, s: Substitution, ctx: PlannerContext, mode: EvaluationMode
+    t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool
 ) -> list[Substitution]:
     target = _ref_plan(t.args[0], s, ctx)
     acts = s.resolve(t.args[1])
@@ -317,7 +297,7 @@ def _solve_replan(
         s2 = unify(t.args[1], got, s)
         return [s2] if s2 is not None else []
     if isinstance(acts, ListTerm):
-        if not mode.embedded_replan_derive_only:
+        if not clarifying:
             raise PlanError("replanning against given acts outside recognition")
         return _replan_recognize(target, list(acts.items), s, ctx)
     completed, added = complete_plan(target, ctx)
@@ -348,7 +328,7 @@ def _replan_recognize(
             _graft(target, hole, choice, instance, children, ctx)
             target.bindings = s1
             target.status = PlanStatus.COMPLETE
-            verdict = evaluate(target, ctx, INITIAL_MODE)
+            verdict = evaluate(target, ctx)
             if verdict.valid:
                 referent = _referent_of(target, verdict.bindings)
                 ctx.plan_judgments[target.id] = ("achieve", referent)
@@ -418,64 +398,33 @@ def _assumable(term: Term, s: Substitution, ctx: PlannerContext, plan: PlanDeriv
     if plan.root_effect is None:
         return False
     effect = s.resolve(plan.root_effect)
-
-    def occurs(hay: Term) -> bool:
-        if unify(t, hay, s) is not None:
-            return True
-        if isinstance(hay, Compound):
-            return any(occurs(a) for a in hay.args)
-        if isinstance(hay, ListTerm):
-            return any(occurs(i) for i in hay.items)
-        if isinstance(hay, Lam):
-            return occurs(hay.body)
-        return False
-
-    return occurs(effect)
+    return visit(effect, lambda hay, _: unify(t, hay, s) is not None)
 
 
 def evaluate(
-    plan: PlanDerivation, ctx: PlannerContext, mode: EvaluationMode
+    plan: PlanDerivation, ctx: PlannerContext, clarifying: bool = False
 ) -> EvaluationResult:
+    """Judge a finished derivation; deferred constraints are retried until
+    a pass commits nothing. In a clarification an unprovable belief of the
+    speaker's that their utterance asserts anyway is taken on trust."""
     s = plan.bindings
-    deferred: list[tuple[str, Term]] = []
-    for owner, term in _walk_items(plan):
-        kind, sols = solve(term, s, ctx, mode, plan)
-        if kind is Outcome.ASSUME:
-            continue
-        if kind is Outcome.DEFER:
-            deferred.append((owner, term))
-            continue
-        if not sols:
-            if mode.assume_speaker_beliefs and _assumable(term, s, ctx, plan):
+    pending = _walk_items(plan)
+    # the pass in step order is always followed by a pass over what it deferred
+    first = progress = True
+    while pending and progress:
+        progress, first = first, False
+        deferred: list[tuple[str, Term]] = []
+        for owner, term in pending:
+            kind, sols = solve(term, s, ctx, clarifying)
+            if kind is Outcome.DEFER or len(sols) > 1:
+                deferred.append((owner, term))
                 continue
-            return EvaluationResult(False, s, owner)
-        if len(sols) == 1:
-            s = sols[0]
-        else:
-            deferred.append((owner, term))
-    changed = True
-    while changed and deferred:
-        changed = False
-        still: list[tuple[str, Term]] = []
-        for owner, term in deferred:
-            kind, sols = solve(term, s, ctx, mode, plan)
-            if kind is Outcome.ASSUME:
-                changed = True
-                continue
-            if kind is Outcome.DEFER:
-                still.append((owner, term))
-                continue
-            if not sols:
-                if mode.assume_speaker_beliefs and _assumable(term, s, ctx, plan):
-                    changed = True
-                    continue
-                return EvaluationResult(False, s, owner)
-            if len(sols) == 1:
+            if sols:
                 s = sols[0]
-                changed = True
-            else:
-                still.append((owner, term))
-        deferred = still
+            elif kind is Outcome.SOLS and not (clarifying and _assumable(term, s, ctx, plan)):
+                return EvaluationResult(False, s, owner)
+            progress = True
+        pending = deferred
     return EvaluationResult(True, s)
 
 
@@ -657,7 +606,6 @@ def infer(
     if meta:
         if len(acts) != 1:
             return InferenceResult(Verdict.NO_DERIVATION)
-        mode = CLARIFICATION_MODE
         for root in META_ROOTS[acts[0].functor]:
             for tmp, s in _parse_with_root(root, acts, ctx):
                 pid = s.walk(tmp.instance.head.args[0])
@@ -668,7 +616,6 @@ def infer(
                     seen.add(sig)
                     parses.append((tmp, s))
     else:
-        mode = INITIAL_MODE
         for order in canonical_orders(acts):
             for tmp, s in _parse_with_root("refer", order, ctx):
                 sig = _parse_signature(tmp, s)
@@ -680,7 +627,7 @@ def infer(
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = []
     for tmp, s in parses:
         plan = _materialize_parse(tmp, s, ctx)
-        result = evaluate(plan, ctx, mode)
+        result = evaluate(plan, ctx, bool(meta))
         plan.bindings = result.bindings
         if not meta:
             if result.valid:
@@ -805,51 +752,25 @@ class _Search:
             self.push(st)
 
     def _prove(self, state: _BuildState, owner: str, term: Term) -> None:
-        ctx = self.ctx
         t = state.s.resolve(term)
         if not isinstance(t, Compound):
             return
-        f = t.functor
-        if f == "subset":
-            kind, sols = solve(t, state.s, ctx, INITIAL_MODE, None)
-            if kind is not Outcome.SOLS or not sols:
-                return
-            owner_schema = state.nodes[owner].schema
-            if owner_schema in ("modifier-absolute", "modifier-relative"):
-                sols = [s2 for s2 in sols if self._shrinks(t, s2)]
-                for s2 in sols:
-                    key = self._modifier_key(state, owner, s2)
-                    if key in state.used:
-                        continue
-                    st = state.fork()
-                    st.s = s2
-                    st.used = state.used | {key}
-                    self.push(st)
-                return
-            for s2 in sols:
-                st = state.fork()
-                st.s = s2
-                self.push(st)
+        try:
+            kind, sols = solve(t, state.s, self.ctx)
+        except NoPlanError:  # replanning found no way to complete the plan
             return
-        if f == "replan":
-            try:
-                kind, sols = solve(t, state.s, ctx, INITIAL_MODE, None)
-            except NoPlanError:
-                return
-            for s2 in sols:
-                st = state.fork()
-                st.s = s2
-                self.push(st)
-            return
-        kind, sols = solve(t, state.s, ctx, INITIAL_MODE, None)
         if kind is Outcome.ASSUME:
             self.push(state.fork())
             return
-        if kind is Outcome.DEFER:
-            return
-        for s2 in sols:
+        rec = state.nodes[owner]
+        branches = [(s2, state.used) for s2 in sols]
+        if t.functor == "subset" and rec.schema in MODIFIER_SCHEMAS:
+            # a modifier must narrow the candidates and add a new restriction
+            keyed = [(s2, modifier_key(rec, s2)) for s2 in sols if self._shrinks(t, s2)]
+            branches = [(s2, state.used | {k}) for s2, k in keyed if k not in state.used]
+        for s2, used in branches:
             st = state.fork()
-            st.s = s2
+            st.s, st.used = s2, used
             self.push(st)
 
     def _shrinks(self, t: Compound, s: Substitution) -> bool:
@@ -861,53 +782,33 @@ class _Search:
             and len(after.items) < len(before.items)
         )
 
-    def _modifier_key(self, state: _BuildState, owner: str, s: Substitution) -> tuple:
-        rec = state.nodes[owner]
-        content = s.resolve(rec.content)
-        assert isinstance(content, Compound)
-        entity = canon(content.args[0])
-        pred = ""
-        other = ""
-        for item in rec.items:
-            if item.kind is ItemKind.CONSTRAINT:
-                c = s.resolve(item.term)
-                if isinstance(c, Compound) and c.functor in ("modifier-pred", "modifier-rel-pred"):
-                    pred = canon(c.args[0])
-                if isinstance(c, Compound) and c.functor == "bmb":
-                    inner = c.args[2]
-                    if isinstance(inner, Compound) and len(inner.args) == 2:
-                        other = canon(inner.args[1])
-        return (entity, pred, other)
 
-
-def modifier_keys_of(plan: PlanDerivation, library: SchemaLibrary) -> frozenset:
-    """Identity keys of the modifiers a plan already uses, for reuse guards."""
-    keys = set()
-    for name in plan.action_nodes():
-        rec = plan.nodes[name]
-        if rec.schema not in ("modifier-absolute", "modifier-relative"):
+def modifier_key(rec: NodeRecord, s: Substitution) -> tuple[str, str, str]:
+    """Identity of a modifier node: its entity, its predicate, and the
+    value or other object it relates the entity's referent to."""
+    content = s.resolve(rec.content)
+    assert isinstance(content, Compound)
+    pred = other = ""
+    for item in rec.items:
+        if item.kind is not ItemKind.CONSTRAINT:
             continue
-        content = plan.content_of(name)
-        assert isinstance(content, Compound)
-        entity = canon(content.args[0])
-        pred = ""
-        other = ""
-        for item in rec.items:
-            if item.kind is not ItemKind.CHILD:
-                continue
-            child = plan.nodes[item.child]
-            if child.primitive:
-                act = plan.content_of(item.child)
-                if isinstance(act, Compound) and act.functor == "s-attrib":
-                    pred = canon(act.args[1])
-                elif isinstance(act, Compound) and act.functor == "s-attrib-rel":
-                    pred = canon(act.args[2])
-            else:
-                sub = plan.content_of(item.child)
-                if isinstance(sub, Compound) and sub.functor == "refer":
-                    other = canon(sub.args[1])
-        keys.add((entity, pred, other))
-    return frozenset(keys)
+        c = s.resolve(item.term)
+        if isinstance(c, Compound) and c.functor in ("modifier-pred", "modifier-rel-pred"):
+            pred = canon(c.args[0])
+        if isinstance(c, Compound) and c.functor == "bmb":
+            inner = c.args[2]
+            if isinstance(inner, Compound) and len(inner.args) == 2:
+                other = canon(inner.args[1])
+    return (canon(content.args[0]), pred, other)
+
+
+def modifier_keys_of(plan: PlanDerivation) -> frozenset:
+    """Identity keys of the modifiers a plan already uses, for reuse guards."""
+    return frozenset(
+        modifier_key(plan.nodes[name], plan.bindings)
+        for name in plan.action_nodes()
+        if plan.nodes[name].schema in MODIFIER_SCHEMAS
+    )
 
 
 def _refer_depths(plan: PlanDerivation) -> dict[str, int]:
@@ -975,7 +876,7 @@ def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDer
         nodes=dict(partial.nodes),
         queue=tuple(("expand", n) for n in partial.unexpanded()),
         s=partial.bindings,
-        used=modifier_keys_of(partial, ctx.library),
+        used=modifier_keys_of(partial),
         emitted=(),
         prims=0,
         depths=_refer_depths(partial),

@@ -14,7 +14,8 @@ the predicates descriptions may use, and scripts the turns. Example:
 
 Lines starting with `#` (or trailing `#` comments) are ignored. A user
 turn lists the acts of one contribution, separated by `;`, all sharing
-one variable table. `current` in a user turn names the plan under
+one variable table; its s-refer, s-attrib and s-attrib-rel acts name
+constant entities. `current` in a user turn names the plan under
 discussion. A system turn is either `expect <pattern>`, matched by
 unification against the system's next utterance (a list pattern matches
 the whole utterance, a single act pattern an utterance of one act), or
@@ -38,14 +39,15 @@ from .schemas import build_library
 from .terms import (
     Compound,
     Const,
-    Lam,
     ListTerm,
     NameSource,
     Term,
     TermReader,
     format_term,
     is_ground,
+    map_term,
     unify,
+    visit,
 )
 
 _FACT_SECTIONS = ("common_ground", "private", "user_model")
@@ -53,6 +55,8 @@ _NAME_SECTIONS = ("objects", "modifier_preds", "modifier_rel_preds", "pick_order
 _SECTIONS = _FACT_SECTIONS + _NAME_SECTIONS + ("turns",)
 
 _ENTITY_RE = re.compile(r"^entity\d+$")
+# How many leading arguments of each referring act name entities.
+_ENTITY_ARGS = {"s-refer": 1, "s-attrib": 1, "s-attrib-rel": 2}
 
 
 @dataclass
@@ -132,9 +136,17 @@ def _read_turn(head: str, rest: str, colon: str, lineno: int, names: NameSource)
         acts = []
         for part in rest.split(";"):
             try:
-                acts.append(reader.read(part.strip()))
+                act = reader.read(part.strip())
             except TermSyntaxError as err:
                 raise ScenarioError(str(err), lineno) from err
+            if isinstance(act, Compound):
+                for arg in act.args[: _ENTITY_ARGS.get(act.functor, 0)]:
+                    if not isinstance(arg, Const):
+                        raise ScenarioError(
+                            f"{act.functor} needs a constant entity, got {format_term(arg)}",
+                            lineno,
+                        )
+            acts.append(act)
         return Turn(lineno, "user", acts=acts)
     if rest == "run":
         return Turn(lineno, "system")
@@ -247,35 +259,21 @@ def _matches(pattern: Term, acts: list[Term]) -> bool:
 
 
 def _resolve_current(term: Term, ms: MentalState, lineno: int) -> Term:
-    def walk(t: Term) -> Term:
-        if isinstance(t, Const) and t.name == "current":
-            scope = ms.cstate.plan if ms.cstate else ms.last_referring
-            if scope is None:
-                raise ScenarioError("'current' used before any referring plan", lineno)
-            return Const(scope)
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(walk(a) for a in t.args))
-        if isinstance(t, ListTerm):
-            return ListTerm(tuple(walk(x) for x in t.items))
-        if isinstance(t, Lam):
-            return Lam(t.params, walk(t.body))
-        return t
+    def current(t: Term, _bound) -> Term:
+        if not (isinstance(t, Const) and t.name == "current"):
+            return t
+        scope = ms.cstate.plan if ms.cstate else ms.last_referring
+        if scope is None:
+            raise ScenarioError("'current' used before any referring plan", lineno)
+        return Const(scope)
 
-    return walk(term)
+    return map_term(term, current)
 
 
 def _note_entities(acts: list[Term], names: NameSource) -> None:
-    def walk(t: Term) -> None:
+    def note(t: Term, _bound) -> None:
         if isinstance(t, Const) and _ENTITY_RE.match(t.name):
             names.note_entity(t.name)
-        elif isinstance(t, Compound):
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, ListTerm):
-            for x in t.items:
-                walk(x)
-        elif isinstance(t, Lam):
-            walk(t.body)
 
     for act in acts:
-        walk(act)
+        visit(act, note)

@@ -270,10 +270,6 @@ def build_library(names: NameSource) -> SchemaLibrary:
     return SchemaLibrary(schemas)
 
 
-def is_primitive_act(t: Term) -> bool:
-    return isinstance(t, Compound) and t.functor in PRIMITIVES
-
-
 def check_primitive_act(t: Term) -> None:
     if not isinstance(t, Compound) or t.functor not in PRIMITIVES:
         raise PlanError(f"not a surface act: {t!r}")

@@ -8,12 +8,19 @@ placeholders rather than doing general higher-order matching.
 
 `apply(Pred, Arg...)` terms beta-reduce during resolution whenever the
 predicate position is (or becomes) a lambda.
+
+Term walks go through `map_term`, which rebuilds a term leaf by leaf, or
+`visit`, which calls a function on every subterm in pre-order; both pass
+along the parameters of the enclosing lambdas. Only the hot `resolve`,
+`unify` and occurs check, and `canon` and `format_term`, which build
+their own syntax, keep their own recursion.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .errors import TermSyntaxError
 
@@ -169,29 +176,49 @@ class Substitution:
 EMPTY = Substitution()
 
 
+def map_term(t: Term, leaf: Callable, bound: frozenset[int] = frozenset()) -> Term:
+    """Rebuild t with each constant and variable x replaced by leaf(x, bound),
+    where bound holds the uids of the lambda parameters in scope at x."""
+    kind = type(t)  # exact type tests and list comprehensions: renaming is hot
+    if kind is Compound:
+        return Compound(t.functor, tuple([map_term(a, leaf, bound) for a in t.args]))
+    if kind is ListTerm:
+        return ListTerm(tuple([map_term(i, leaf, bound) for i in t.items]))
+    if kind is Lam:
+        return Lam(t.params, map_term(t.body, leaf, bound | {p.uid for p in t.params}))
+    return leaf(t, bound)
+
+
+def visit(t: Term, fn: Callable, bound: frozenset[int] = frozenset()) -> bool:
+    """Call fn(x, bound) on t and each of its subterms, in pre-order, as
+    map_term calls leaf; stop and return True at the first true result."""
+    if fn(t, bound):
+        return True
+    kind = type(t)
+    if kind is Compound or kind is ListTerm:
+        for x in t.args if kind is Compound else t.items:
+            if visit(x, fn, bound):
+                return True
+    elif kind is Lam:
+        return visit(t.body, fn, bound | {p.uid for p in t.params})
+    return False
+
+
 def apply_lambda(lam: Lam, args: tuple[Term, ...]) -> Term:
-    """Beta-reduce: substitute args for the lambda's parameters in its body."""
+    """Beta-reduce: substitute args for the free occurrences of the
+    lambda's parameters in its body."""
     if len(args) != len(lam.params):
         raise TermSyntaxError(
             f"lambda of {len(lam.params)} params applied to {len(args)} args"
         )
     mapping = {p.uid: a for p, a in zip(lam.params, args)}
 
-    def sub(t: Term) -> Term:
-        if isinstance(t, Var):
-            return mapping.get(t.uid, t)
-        if isinstance(t, Const):
-            return t
-        if isinstance(t, ListTerm):
-            return ListTerm(tuple(sub(i) for i in t.items))
-        if isinstance(t, Lam):
-            inner = {p.uid for p in t.params}
-            if inner & set(mapping):
-                return t
-            return Lam(t.params, sub(t.body))
-        return Compound(t.functor, tuple(sub(a) for a in t.args))
+    def sub(x: Term, bound: frozenset[int]) -> Term:
+        if type(x) is Var and x.uid not in bound:
+            return mapping.get(x.uid, x)
+        return x
 
-    return sub(lam.body)
+    return map_term(lam.body, sub)
 
 
 def _occurs(var: Var, t: Term, s: Substitution) -> bool:
@@ -256,121 +283,30 @@ def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | Non
     return None
 
 
-def match_oneway(pattern: Term, instance: Term, s: Substitution | None = None) -> Substitution | None:
-    """Unify with the instance's variables held rigid.
-
-    Used for subsumption: `pattern` subsumes `instance` when the pattern's
-    variables can be bound to make the two equal without touching the
-    instance's own variables.
-    """
-    if s is None:
-        s = EMPTY
-    pattern = s.walk(pattern)
-    if isinstance(pattern, Var):
-        if isinstance(instance, Var) and pattern.uid == instance.uid:
-            return s
-        bound = s.lookup(pattern)
-        if bound is not None:
-            return s if _struct_eq(bound, instance) else None
-        return s.bind(pattern, instance)
-    if isinstance(instance, Var):
-        return None
-    if isinstance(pattern, Const) and isinstance(instance, Const):
-        return s if pattern.name == instance.name else None
-    if isinstance(pattern, ListTerm) and isinstance(instance, ListTerm):
-        if len(pattern.items) != len(instance.items):
-            return None
-        for p, i in zip(pattern.items, instance.items):
-            s2 = match_oneway(p, i, s)
-            if s2 is None:
-                return None
-            s = s2
-        return s
-    if isinstance(pattern, Lam) and isinstance(instance, Lam):
-        if len(pattern.params) != len(instance.params):
-            return None
-        rigid = tuple(Const(f"$p{i}") for i in range(len(pattern.params)))
-        return match_oneway(
-            apply_lambda(pattern, rigid), apply_lambda(instance, rigid), s
-        )
-    if isinstance(pattern, Compound) and isinstance(instance, Compound):
-        if pattern.functor != instance.functor or len(pattern.args) != len(instance.args):
-            return None
-        for p, i in zip(pattern.args, instance.args):
-            s2 = match_oneway(p, i, s)
-            if s2 is None:
-                return None
-            s = s2
-        return s
-    return None
-
-
-def _struct_eq(a: Term, b: Term) -> bool:
-    if isinstance(a, Var) and isinstance(b, Var):
-        return a.uid == b.uid
-    if isinstance(a, Const) and isinstance(b, Const):
-        return a.name == b.name
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        return (
-            a.functor == b.functor
-            and len(a.args) == len(b.args)
-            and all(_struct_eq(x, y) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, ListTerm) and isinstance(b, ListTerm):
-        return len(a.items) == len(b.items) and all(
-            _struct_eq(x, y) for x, y in zip(a.items, b.items)
-        )
-    if isinstance(a, Lam) and isinstance(b, Lam):
-        if len(a.params) != len(b.params):
-            return False
-        rigid = tuple(Const(f"$p{i}") for i in range(len(a.params)))
-        return _struct_eq(apply_lambda(a, rigid), apply_lambda(b, rigid))
-    return False
-
-
 def variables_of(t: Term) -> list[Var]:
-    """All distinct variables in t, in first-occurrence order."""
-    out: list[Var] = []
-    seen: set[int] = set()
+    """All distinct free variables in t, in first-occurrence order."""
+    out: dict[int, Var] = {}
 
-    def go(x: Term, bound: frozenset[int]) -> None:
-        if isinstance(x, Var):
-            if x.uid not in seen and x.uid not in bound:
-                seen.add(x.uid)
-                out.append(x)
-        elif isinstance(x, Compound):
-            for a in x.args:
-                go(a, bound)
-        elif isinstance(x, ListTerm):
-            for i in x.items:
-                go(i, bound)
-        elif isinstance(x, Lam):
-            go(x.body, bound | {p.uid for p in x.params})
+    def note(x: Term, bound: frozenset[int]) -> None:
+        if isinstance(x, Var) and x.uid not in bound:
+            out.setdefault(x.uid, x)
 
-    go(t, frozenset())
-    return out
+    visit(t, note)
+    return list(out.values())
 
 
 def rename_apart(t: Term, names: NameSource) -> Term:
     """Fresh copy of t with every free variable replaced by a new one."""
     mapping: dict[int, Var] = {}
 
-    def go(x: Term, bound: frozenset[int]) -> Term:
-        if isinstance(x, Var):
-            if x.uid in bound:
-                return x
-            if x.uid not in mapping:
-                mapping[x.uid] = names.fresh_var(x.name)
-            return mapping[x.uid]
-        if isinstance(x, Const):
+    def fresh(x: Term, bound: frozenset[int]) -> Term:
+        if type(x) is not Var or x.uid in bound:
             return x
-        if isinstance(x, ListTerm):
-            return ListTerm(tuple(go(i, bound) for i in x.items))
-        if isinstance(x, Lam):
-            return Lam(x.params, go(x.body, bound | {p.uid for p in x.params}))
-        return Compound(x.functor, tuple(go(a, bound) for a in x.args))
+        if x.uid not in mapping:
+            mapping[x.uid] = names.fresh_var(x.name)
+        return mapping[x.uid]
 
-    return go(t, frozenset())
+    return map_term(t, fresh)
 
 
 def canon(t: Term, s: Substitution | None = None) -> str:
@@ -405,7 +341,11 @@ def canon(t: Term, s: Substitution | None = None) -> str:
 
 
 def is_ground(t: Term) -> bool:
-    return not variables_of(t)
+    return not visit(t, _is_free_var)
+
+
+def _is_free_var(x: Term, bound: frozenset[int]) -> bool:
+    return isinstance(x, Var) and x.uid not in bound
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from collabref import (
     run_text,
 )
 from collabref.beliefs import SYSTEM, USER
-from collabref.planner import INITIAL_MODE
 from collabref.plans import ItemKind
 from collabref.terms import ListTerm, NameSource, Substitution, Var
 
@@ -257,7 +256,7 @@ def test_criterion_construction_sound_minimal_invertible():
         built += 1
         acts = plan.yield_of()
         assert len(acts) == 2 + shortest, (trial, target, shortest, len(acts))
-        assert evaluate(plan, ms.ctx, INITIAL_MODE).valid, (trial, target)
+        assert evaluate(plan, ms.ctx).valid, (trial, target)
 
         # the utterance crosses to the other agent as text, so the hearer
         # re-reads it against its own name source

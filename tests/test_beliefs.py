@@ -29,7 +29,7 @@ from collabref import (
     mk,
     read_term,
 )
-from collabref.beliefs import SYSTEM, USER, subset_filter
+from collabref.beliefs import SYSTEM, USER
 from collabref.terms import Compound, Lam, ListTerm, rename_apart, unify
 
 import worldgen
@@ -263,17 +263,6 @@ def test_retract_matching_removes_only_unifying_items():
     }
     # retracted items may be asserted again afterwards
     assert base.assert_prop(Bucket.PRIVATE, read_term("achieve(p1, g1)", names))
-
-
-def test_perspective_flipped_is_an_involution():
-    p = Perspective("user", "system")
-    assert p.flipped().flipped() == p
-    assert p.flipped().speaker == "system"
-
-
-def test_subset_filter_keeps_input_order():
-    items = [Const(n) for n in ["c", "a", "b"]]
-    assert subset_filter(items, lambda i: i.name != "a") == [Const("c"), Const("b")]
 
 
 # -- the index against a plain scan -----------------------------------------

@@ -190,6 +190,36 @@ def test_unfixable_description_stalls_after_the_rejection():
     assert ms.log.rule_numbers() == [1, 3, 4, 8, 1, 2, 5]
 
 
+def test_repair_proposes_no_modifier_the_plan_already_has():
+    # "the weird, red creature": nothing is weird, so the repair replaces
+    # that modifier, and it must not do so with red, which the plan has
+    ms = make_state(
+        ["a", "b", "c"],
+        [
+            "category(a, creature)", "category(b, creature)", "category(c, creature)",
+            "colour(a, red)", "colour(b, red)", "size(a, big)",
+        ],
+        modifier_preds=["colour", "size", "assessment"],
+        pick_order=["a", "b", "c"],
+    )
+    reader = TermReader(ms.names)
+    acts = [reader.read(text) for text in (
+        "s-refer(entity1)",
+        "s-attrib(entity1, lambda(X, assessment(X, weird)))",
+        "s-attrib(entity1, lambda(X, colour(X, red)))",
+        "s-attrib(entity1, lambda(X, category(X, creature)))",
+    )]
+    ms.names.note_entity("entity1")
+    assert ms.hearer_step(acts).kind is Verdict.ERROR_AT
+    _, actions = ms.speaker_step()
+    assert actions[0].functor == "s-actions"
+    proposed = actions[0].args[1].items
+    described = {canon(a.args[1]) for a in acts if a.functor == "s-attrib"}
+    assert proposed
+    assert not described & {canon(a.args[1]) for a in proposed if a.functor == "s-attrib"}
+    assert format_term(proposed[0]) == "s-attrib(entity1, lambda(X, size(X, big)))"
+
+
 def test_event_log_extracts_rule_numbers():
     log = EventLog()
     log.add("turn 1 user")

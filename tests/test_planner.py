@@ -17,8 +17,6 @@ from collabref import (
 )
 from collabref.beliefs import SYSTEM, USER
 from collabref.planner import (
-    CLARIFICATION_MODE,
-    INITIAL_MODE,
     Outcome,
     canonical_orders,
     solve,
@@ -49,7 +47,7 @@ def test_plan_reference_constraints_defer_while_unbound():
         mk("replan", p, ctx.names.fresh_var("A")),
     ]
     for term in cases:
-        kind, sols = solve(term, Substitution(), ctx, INITIAL_MODE, None)
+        kind, sols = solve(term, Substitution(), ctx)
         assert kind is Outcome.DEFER and sols == [], format_term(term)
 
 
@@ -67,7 +65,7 @@ def test_substitute_defers_until_the_node_is_known():
         Const("x"),
         ms.names.fresh_var("Q"),
     )
-    kind, sols = solve(term, Substitution(), ms.ctx, INITIAL_MODE, None)
+    kind, sols = solve(term, Substitution(), ms.ctx)
     assert kind is Outcome.DEFER and sols == []
 
 
@@ -75,11 +73,11 @@ def test_knowref_assumed_for_the_other_agent_solved_for_self():
     ctx = small_ctx()
     names = ctx.names
     e, o = names.fresh_var("E"), names.fresh_var("O")
-    kind, _ = solve(mk("knowref", USER, USER, e, o), Substitution(), ctx, INITIAL_MODE, None)
+    kind, _ = solve(mk("knowref", USER, USER, e, o), Substitution(), ctx)
     assert kind is Outcome.ASSUME
-    kind, _ = solve(mk("knowref", SYSTEM, SYSTEM, e, o), Substitution(), ctx, INITIAL_MODE, None)
+    kind, _ = solve(mk("knowref", SYSTEM, SYSTEM, e, o), Substitution(), ctx)
     assert kind is Outcome.DEFER
-    kind, sols = solve(mk("knowref", SYSTEM, SYSTEM, e, Const("fern1")), Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(mk("knowref", SYSTEM, SYSTEM, e, Const("fern1")), Substitution(), ctx)
     assert kind is Outcome.SOLS and len(sols) == 1
     minted = sols[0].resolve(e)
     assert format_term(minted).startswith("entity")
@@ -93,7 +91,7 @@ def test_subset_keeps_matching_members_in_order():
         "subset([fern1, tv1], lambda(X, category(X, creature)), Out)", names
     )
     term = mk("subset", term.args[0], term.args[1], out)
-    kind, sols = solve(term, Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(term, Substitution(), ctx)
     assert kind is Outcome.SOLS and len(sols) == 1
     assert sols[0].resolve(out) == ListTerm((Const("fern1"),))
     # nothing matching means failure, not an empty survivor list
@@ -103,7 +101,7 @@ def test_subset_keeps_matching_members_in_order():
         read_term("lambda(X, category(X, creature))", names),
         names.fresh_var("Out2"),
     )
-    kind, sols = solve(term2, Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(term2, Substitution(), ctx)
     assert kind is Outcome.SOLS and sols == []
 
 
@@ -116,7 +114,7 @@ def test_pick_one_respects_the_preference_order():
     ctx = ms.ctx
     chosen = ctx.names.fresh_var("C")
     pool = ListTerm((Const("fern1"), Const("tv1")))
-    kind, sols = solve(mk("pick-one", chosen, pool), Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(mk("pick-one", chosen, pool), Substitution(), ctx)
     assert kind is Outcome.SOLS
     assert [s.resolve(chosen) for s in sols] == [Const("tv1"), Const("fern1")]
 
@@ -125,14 +123,14 @@ def test_negation_as_failure():
     ctx = small_ctx()
     names = ctx.names
     yes = read_term("not([a] = [])", names)
-    kind, sols = solve(yes, Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(yes, Substitution(), ctx)
     assert kind is Outcome.SOLS and len(sols) == 1
     no = read_term("not([] = [])", names)
-    kind, sols = solve(no, Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(no, Substitution(), ctx)
     assert kind is Outcome.SOLS and sols == []
     # an undecided inner constraint keeps the negation undecided too
     open_plan = mk("not", mk("replan", names.fresh_var("P"), names.fresh_var("A")))
-    kind, sols = solve(open_plan, Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(open_plan, Substitution(), ctx)
     assert kind is Outcome.DEFER
 
 
@@ -142,7 +140,7 @@ def test_equation_bridges_abstract_shapes():
     lib = ctx.library
     concrete = lib.get("modifier-absolute").instantiate(names).head
     term = mk("=", read_term("modifier(E, O, C, N)", names), concrete)
-    kind, sols = solve(term, Substitution(), ctx, INITIAL_MODE, None)
+    kind, sols = solve(term, Substitution(), ctx)
     assert kind is Outcome.SOLS and len(sols) == 1
 
 
@@ -235,7 +233,7 @@ def test_reevaluating_a_candidate_is_stable():
     ms = golden_state()
     result = ms.hearer_step(opening_request(ms))
     plan, first = result.candidates[0]
-    again = evaluate(plan, ms.ctx, INITIAL_MODE)
+    again = evaluate(plan, ms.ctx)
     assert again.valid == first.valid
     assert again.error_node == first.error_node
 

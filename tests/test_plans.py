@@ -16,7 +16,6 @@ from collabref import (
     mk,
 )
 from collabref.beliefs import SYSTEM, USER
-from collabref.planner import INITIAL_MODE
 from collabref.plans import ItemKind, find_covering_node, substitute_node, unify_bridged
 from collabref.terms import TermReader, canon, format_term, read_term
 
@@ -195,7 +194,7 @@ def test_substitute_then_complete_describes_the_new_object():
     assert completed.status is PlanStatus.COMPLETE
     assert added, "completion must contribute new surface acts"
     assert any("size(X, large)" in format_term(a) for a in added)
-    verdict = evaluate(completed, ms.ctx, INITIAL_MODE)
+    verdict = evaluate(completed, ms.ctx)
     assert verdict.valid
 
 

@@ -73,6 +73,39 @@ def test_error_messages_carry_the_line_number():
     assert "line 3" in str(exc.value)
 
 
+UNBOUND_ENTITY = """\
+objects: a b
+common_ground:
+  category(a, c)
+  category(b, c)
+turns:
+  user: s-refer(E); s-attrib(E, lambda(X, category(X, c)))
+  system: run
+"""
+
+
+@pytest.mark.parametrize(
+    "acts",
+    [
+        "s-refer(E); s-attrib(E, lambda(X, category(X, c)))",
+        "s-refer(entity1); s-attrib(_, lambda(X, category(X, c)))",
+        "s-attrib-rel(entity1, E, lambda(X, Y, on(X, Y)))",
+    ],
+)
+def test_referring_acts_need_constant_entities(acts):
+    text = UNBOUND_ENTITY.replace(
+        "s-refer(E); s-attrib(E, lambda(X, category(X, c)))", acts
+    )
+    with pytest.raises(ScenarioError, match="constant entity") as err:
+        load(text)
+    assert err.value.line == 6
+
+
+def test_acts_quoted_in_a_clarification_keep_their_variables():
+    sc = load(SIMPLE + "  user: s-reject(current, [s-refer(E), s-attrib(E, lambda(X, f(X)))])\n")
+    assert len(sc.turns[-1].acts) == 1
+
+
 # -- running ---------------------------------------------------------------
 
 def test_simple_scenario_resolves():
@@ -207,6 +240,13 @@ def test_cli_run_exit_two_on_scenario_error(tmp_path, capsys):
     broken.write_text("turns:\n  user: s-refer(entity1)\n")
     assert main(["run", str(broken)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_exit_two_on_unbound_entity(tmp_path, capsys):
+    unbound = tmp_path / "unbound.scn"
+    unbound.write_text(UNBOUND_ENTITY)
+    assert main(["run", str(unbound)]) == 2
+    assert "line 6" in capsys.readouterr().err
 
 
 def test_cli_run_exit_two_on_missing_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from collabref import NameSource, PlanError, build_library
-from collabref.schemas import StepKind, check_primitive_act, is_primitive_act
+from collabref.schemas import StepKind, check_primitive_act
 from collabref.terms import Compound, read_term, variables_of
 
 
@@ -111,9 +111,6 @@ def test_clarification_schemas_carry_plan_surgery_steps(names):
 
 
 def test_primitive_act_checking(names):
-    assert is_primitive_act(read_term("s-refer(entity1)", names))
-    assert is_primitive_act(read_term("s-accept(p1)", names))
-    assert not is_primitive_act(read_term("refer(entity1, fern1)", names))
     check_primitive_act(read_term("s-attrib(e1, lambda(X, category(X, c)))", names))
     with pytest.raises(PlanError):
         check_primitive_act(read_term("category(fern1, creature)", names))

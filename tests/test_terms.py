@@ -3,7 +3,10 @@
 The unification tests check the implementation against an independently
 written Robinson unifier that applies substitutions eagerly, so the two
 can only agree by both being right. A ground-enumeration check over a
-small constant universe adds a one-sided soundness angle on top.
+small constant universe adds a one-sided soundness angle on top. The
+traversals that lambdas complicate (free variables, renaming apart, beta
+reduction, printing and reading back) are checked on generated terms with
+nested lambdas against small references written here.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collabref import (
     Compound,
@@ -32,7 +37,6 @@ from collabref import (
 from collabref.terms import (
     apply_lambda,
     is_ground,
-    match_oneway,
     rename_apart,
     variables_of,
 )
@@ -206,26 +210,6 @@ def test_apply_lambda_substitutes_positionally(names):
         apply_lambda(lam, (Const("a"), Const("b")))
 
 
-def test_match_oneway_binds_pattern_side_only(names):
-    a = names.fresh_var("A")
-    s = match_oneway(mk("f", a, Const("b")), mk("f", Const("a"), Const("b")))
-    assert s is not None and s.resolve(a) == Const("a")
-    # a variable in the instance must not be bound away
-    assert match_oneway(mk("f", Const("a")), mk("f", names.fresh_var("Y"))) is None
-
-
-def test_match_oneway_matches_every_grounding():
-    rng = random.Random(73)
-    names = NameSource()
-    pool = [names.fresh_var(n) for n in ("A", "B")]
-    for _ in range(120):
-        p = random_term(rng, pool)
-        uids = sorted({v.uid for v in variables_of(p)})
-        values = [rng.choice(UNIVERSE) for _ in uids]
-        inst = ground_under(p, dict(zip(uids, values)))
-        assert match_oneway(p, inst) is not None
-
-
 def test_substitution_merge_prefers_other_side(names):
     x = names.fresh_var("X")
     s1 = Substitution().bind(x, Const("a"))
@@ -340,3 +324,102 @@ def test_minting_skips_noted_entities():
 def test_format_term_keeps_variable_names(names):
     x = names.fresh_var("Object")
     assert format_term(mk("f", x)) == "f(Object)"
+
+
+# -- generated terms with nested lambdas -------------------------------------
+
+# One name per variable, so printed text reads back to the same sharing;
+# a lambda may rebind a parameter of an enclosing one.
+_POOL = NameSource()
+LAM_VARS = [_POOL.fresh_var(n) for n in ("X", "Y", "Z", "W")]
+LEAVES = st.one_of(st.sampled_from(UNIVERSE[:2]), st.sampled_from(LAM_VARS))
+PARAMS = st.lists(st.sampled_from(LAM_VARS), min_size=1, max_size=2, unique=True)
+
+
+def _lam(params, body):
+    return Lam(tuple(params), body)
+
+
+def _nest(inner):
+    return st.one_of(
+        st.builds(lambda f, xs: Compound(f, tuple(xs)), st.sampled_from(["f", "g"]),
+                  st.lists(inner, min_size=1, max_size=2)),
+        st.lists(inner, max_size=2).map(lambda xs: ListTerm(tuple(xs))),
+        st.builds(_lam, PARAMS, inner),
+    )
+
+
+TERMS = st.recursive(LEAVES, _nest, max_leaves=12)
+LAMBDAS = st.builds(_lam, PARAMS, TERMS)
+SHADOWED = _lam(LAM_VARS[:2], mk("f", _lam(LAM_VARS[:1], mk("g", LAM_VARS[0], LAM_VARS[1]))))
+
+
+def free_vars(t, bound=frozenset()):
+    """Reference: free variables in first-occurrence order, repeats kept."""
+    if isinstance(t, Var):
+        return [] if t.uid in bound else [t]
+    if isinstance(t, Lam):
+        return free_vars(t.body, bound | {p.uid for p in t.params})
+    parts = t.args if isinstance(t, Compound) else t.items if isinstance(t, ListTerm) else ()
+    return [v for part in parts for v in free_vars(part, bound)]
+
+
+def substitute_free(t, env):
+    """Reference beta reduction: a lambda's own parameters shadow env."""
+    if isinstance(t, Var):
+        return env.get(t.uid, t)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(substitute_free(a, env) for a in t.args))
+    if isinstance(t, ListTerm):
+        return ListTerm(tuple(substitute_free(i, env) for i in t.items))
+    if isinstance(t, Lam):
+        own = {p.uid for p in t.params}
+        return Lam(t.params, substitute_free(t.body, {k: v for k, v in env.items() if k not in own}))
+    return t
+
+
+def all_uids(t):
+    if isinstance(t, Var):
+        return {t.uid}
+    if isinstance(t, Lam):
+        return {p.uid for p in t.params} | all_uids(t.body)
+    parts = t.args if isinstance(t, Compound) else t.items if isinstance(t, ListTerm) else ()
+    return set().union(*(all_uids(p) for p in parts))
+
+
+TERM_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@TERM_SETTINGS
+@given(TERMS)
+def test_free_variables_agree_with_the_reference(t):
+    expected = list({v.uid: v for v in free_vars(t)}.values())
+    assert variables_of(t) == expected
+    assert is_ground(t) == (not expected)
+
+
+@TERM_SETTINGS
+@given(TERMS)
+def test_rename_apart_keeps_canon_and_frees_only_fresh_variables(t):
+    names = NameSource(1000)
+    copy = rename_apart(t, names)
+    assert canon(copy) == canon(t)
+    fresh = [v.uid for v in variables_of(copy)]
+    assert len(fresh) == len(variables_of(t))
+    assert all(uid >= 1000 for uid in fresh)
+    assert all_uids(copy) - set(fresh) <= all_uids(t)
+
+
+@TERM_SETTINGS
+@given(TERMS)
+def test_format_then_read_round_trips_up_to_canon(t):
+    assert canon(read_term(format_term(t), NameSource())) == canon(t)
+
+
+@TERM_SETTINGS
+@given(LAMBDAS, st.lists(TERMS, min_size=2, max_size=2))
+@example(SHADOWED, [Const("a"), Const("b")])
+def test_apply_lambda_substitutes_exactly_the_free_parameters(lam, args):
+    args = tuple(args[: len(lam.params)])
+    env = {p.uid: a for p, a in zip(lam.params, args)}
+    assert apply_lambda(lam, args) == substitute_free(lam.body, env)
