@@ -320,6 +320,30 @@ class BeliefBase:
                 out.append(s2)
         return out
 
+    def inseparable(self, referent: Const, other: Const) -> bool:
+        """Whether the other object passes every modifier filter the referent
+        passes: for each modifier and relational predicate F, every mutually
+        believed F(referent, v) has a mutually believed F(other, v).
+
+        Those are the filters `_query_modifier_pred` and
+        `_query_modifier_rel_pred` can build for the referent, so no
+        description can rule the other object out. Reads the common-ground
+        index without renaming or minting anything. Values are compared as
+        terms, and a non-ground fact that could be of one of those
+        predicates makes the answer "separable": where in doubt, separable.
+        """
+        store = self._stores[Bucket.COMMON_GROUND]
+        functors = self.modifier_preds + self.modifier_rel_preds
+        for _, prop, _ in store.nonground:
+            if not isinstance(prop, Compound) or prop.functor in functors:
+                return False
+        for functor in functors:
+            theirs = {fact.args[1] for _, fact, _ in store.ground.get((functor, 2, other.name), ())}
+            for _, fact, _ in store.ground.get((functor, 2, referent.name), ()):
+                if fact.args[1] not in theirs:
+                    return False
+        return True
+
     def _query_fact(self, goal: Compound, s: Substitution) -> list[Substitution]:
         known = set(self.modifier_preds) | set(self.modifier_rel_preds)
         known.update(("category", "error", "achieve", "replace", "plan"))

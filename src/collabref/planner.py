@@ -9,7 +9,9 @@ Three entry points share one constraint solver:
                   (chart over act spans, then evaluation for judgment)
   construct(...)  builds the cheapest plan achieving a goal, by uniform
                   cost search over schema expansions (cost: primitive
-                  count, then node count, then discovery order)
+                  count, then node count, then discovery order), dropping
+                  a branch once its candidates hold an object that no
+                  modifier can separate from the referent
 
 The solver knows the handful of non-query constraint forms: equality,
 negation as failure, candidate-set filtering, referent choice, plan yield
@@ -675,6 +677,7 @@ class _Search:
         self.ctx = ctx
         self.heap: list = []
         self.seq = itertools.count()
+        self.inseparable: dict[tuple[Const, Const], bool] = {}
 
     def push(self, state: _BuildState) -> None:
         heapq.heappush(self.heap, (state.prims, len(state.nodes), next(self.seq), state))
@@ -763,6 +766,8 @@ class _Search:
             self.push(state.fork())
             return
         rec = state.nodes[owner]
+        if t.functor == "subset" and (rec.schema == "headnoun" or rec.schema in MODIFIER_SCHEMAS):
+            sols = [s2 for s2 in sols if not self._dead_end(rec, t, s2)]
         branches = [(s2, state.used) for s2 in sols]
         if t.functor == "subset" and rec.schema in MODIFIER_SCHEMAS:
             # a modifier must narrow the candidates and add a new restriction
@@ -772,6 +777,24 @@ class _Search:
             st = state.fork()
             st.s, st.used = s2, used
             self.push(st)
+
+    def _dead_end(self, rec: NodeRecord, t: Compound, s: Substitution) -> bool:
+        """Whether the candidates left by this subset still hold an object
+        that no modifier can separate from the node's referent, so that no
+        completion of the branch ever narrows them to the referent alone."""
+        referent = s.walk(rec.content.args[1])
+        cands = s.resolve(t.args[2])
+        if not (isinstance(referent, Const) and isinstance(cands, ListTerm)):
+            return False
+        for other in cands.items:
+            if other == referent or not isinstance(other, Const):
+                continue
+            pair = (referent, other)
+            if pair not in self.inseparable:
+                self.inseparable[pair] = self.ctx.base.inseparable(referent, other)
+            if self.inseparable[pair]:
+                return True
+        return False
 
     def _shrinks(self, t: Compound, s: Substitution) -> bool:
         before = s.resolve(t.args[0])

@@ -109,26 +109,6 @@ class PlanDerivation:
     def unexpanded(self) -> list[str]:
         return [n for n, rec in self.nodes.items() if not rec.primitive and not rec.expanded]
 
-    def pretty(self) -> str:
-        lines: list[str] = []
-
-        def walk(name: str, depth: int) -> None:
-            rec = self.nodes[name]
-            pad = "  " * depth
-            content = format_term(self.bindings.resolve(rec.content))
-            if rec.primitive:
-                lines.append(f"{pad}{name}: {content}")
-                return
-            tag = "" if rec.expanded else " (unexpanded)"
-            lines.append(f"{pad}{name}: {content}{tag}")
-            for item in rec.items:
-                if item.kind is ItemKind.CHILD:
-                    walk(item.child, depth + 1)
-
-        lines.append(f"plan {self.id} [{self.status.value}]")
-        walk(self.root, 1)
-        return "\n".join(lines)
-
 
 def unify_bridged(
     a: Term, b: Term, s: Substitution, library: SchemaLibrary

@@ -15,7 +15,8 @@ the predicates descriptions may use, and scripts the turns. Example:
 Lines starting with `#` (or trailing `#` comments) are ignored. A user
 turn lists the acts of one contribution, separated by `;`, all sharing
 one variable table; its s-refer, s-attrib and s-attrib-rel acts name
-constant entities. `current` in a user turn names the plan under
+constant entities, and each of its lambdas uses every parameter and has no
+free variable. `current` in a user turn names the plan under
 discussion. A system turn is either `expect <pattern>`, matched by
 unification against the system's next utterance (a list pattern matches
 the whole utterance, a single act pattern an utterance of one act), or
@@ -39,6 +40,7 @@ from .schemas import build_library
 from .terms import (
     Compound,
     Const,
+    Lam,
     ListTerm,
     NameSource,
     Term,
@@ -47,6 +49,7 @@ from .terms import (
     is_ground,
     map_term,
     unify,
+    variables_of,
     visit,
 )
 
@@ -146,6 +149,7 @@ def _read_turn(head: str, rest: str, colon: str, lineno: int, names: NameSource)
                             f"{act.functor} needs a constant entity, got {format_term(arg)}",
                             lineno,
                         )
+            visit(act, lambda t, bound: _check_lambda(t, bound, lineno))
             acts.append(act)
         return Turn(lineno, "user", acts=acts)
     if rest == "run":
@@ -158,6 +162,25 @@ def _read_turn(head: str, rest: str, colon: str, lineno: int, names: NameSource)
     except TermSyntaxError as err:
         raise ScenarioError(str(err), lineno) from err
     return Turn(lineno, "system", expect=expect)
+
+
+def _check_lambda(t: Term, bound: frozenset[int], lineno: int) -> bool:
+    """A user's lambda must use each parameter and have no free variable,
+    which unification could otherwise bind to one of its parameters."""
+    if isinstance(t, Lam):
+        params = {p.uid for p in t.params}
+        used = {v.uid: v for v in variables_of(t.body)}
+        for p in t.params:
+            if p.uid not in used:
+                raise ScenarioError(
+                    f"lambda {format_term(t)} does not use its parameter {p.name}", lineno
+                )
+        for uid, v in used.items():
+            if uid not in params and uid not in bound:
+                raise ScenarioError(
+                    f"lambda {format_term(t)} has the free variable {v.name}", lineno
+                )
+    return False
 
 
 def _validate(sc: Scenario) -> None:

@@ -123,9 +123,6 @@ class Substitution:
         new[var.uid] = value
         return Substitution(new)
 
-    def lookup(self, var: Var) -> Term | None:
-        return self._map.get(var.uid)
-
     def merge(self, other: "Substitution") -> "Substitution":
         """Union of two binding maps; the other side wins on overlap.
 
@@ -239,7 +236,8 @@ def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | Non
 
     Lambdas unify when their arities match and their bodies unify after
     both parameter lists are replaced by the same rigid placeholder
-    constants. Placeholders use a reserved `$p` prefix no parser emits.
+    constants, without binding any free variable to a term holding one.
+    Placeholders use a reserved `$p` prefix.
     """
     if s is None:
         s = EMPTY
@@ -270,7 +268,15 @@ def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | Non
         if len(a.params) != len(b.params):
             return None
         rigid = tuple(Const(f"$p{i}") for i in range(len(a.params)))
-        return unify(apply_lambda(a, rigid), apply_lambda(b, rigid), s)
+        body_a, body_b = apply_lambda(a, rigid), apply_lambda(b, rigid)
+        s2 = unify(body_a, body_b, s)
+        if s2 is None or s2 is s:
+            return s2
+        # a free variable bound to a placeholder would capture a parameter
+        for v in variables_of(body_a) + variables_of(body_b):
+            if visit(s2.resolve(v), _is_placeholder):
+                return None
+        return s2
     if isinstance(a, Compound) and isinstance(b, Compound):
         if a.functor != b.functor or len(a.args) != len(b.args):
             return None
@@ -346,6 +352,10 @@ def is_ground(t: Term) -> bool:
 
 def _is_free_var(x: Term, bound: frozenset[int]) -> bool:
     return isinstance(x, Var) and x.uid not in bound
+
+
+def _is_placeholder(x: Term, _bound: frozenset[int]) -> bool:
+    return type(x) is Const and x.name.startswith("$p")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from collabref import (
@@ -15,7 +17,8 @@ from collabref import (
     infer,
     mk,
 )
-from collabref.beliefs import SYSTEM, USER
+from collabref import planner
+from collabref.beliefs import SYSTEM, USER, BeliefBase
 from collabref.planner import (
     Outcome,
     canonical_orders,
@@ -339,6 +342,111 @@ def test_construction_resolves_repair_plan_ids_in_the_effect():
     assert isinstance(new_pid, Const), format_term(effect)
     assert new_pid.name in ms.ctx.registry
     assert ms.ctx.plan_judgments[new_pid.name][0] == "achieve"
+
+
+# -- dead-end pruning ------------------------------------------------------------
+
+def describe_or_refuse(objects, facts, target: str, preds=(), rels=()) -> tuple[str, ...]:
+    """What the system says to identify target, or why it cannot."""
+    ms = make_state(objects, facts, modifier_preds=list(preds), rel_preds=list(rels))
+    ms.ctx.persp = Perspective("system", "user")
+    try:
+        plan = construct(ms.ctx, system_refer_goal(ms, target))
+    except NoPlanError as err:
+        return ("refused", str(err))
+    return tuple(format_term(a) for a in plan.yield_of())
+
+
+def world_case(world, target: str):
+    return world.objects, world.fact_lines(), target, world.preds(), world.rel_preds()
+
+
+def test_pruned_search_agrees_with_the_unpruned_one_on_random_worlds(monkeypatch):
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(100):
+        world = worldgen.random_world(rng, max_preds=1 + i % 2 * 3, max_rels=2)
+        cases.extend((world, target) for target in world.objects)
+    real_inseparable = BeliefBase.inseparable
+    fired = 0
+
+    def spy(self, referent, other):
+        nonlocal fired
+        found = real_inseparable(self, referent, other)
+        fired += found
+        return found
+
+    monkeypatch.setattr(BeliefBase, "inseparable", spy)
+    pruned, fired_in_descriptions = [], 0
+    for world, target in cases:
+        fired = 0
+        pruned.append(describe_or_refuse(*world_case(world, target)))
+        fired_in_descriptions += bool(fired) and pruned[-1][0] != "refused"
+    # the reference: the same search with nothing ever found inseparable
+    monkeypatch.setattr(BeliefBase, "inseparable", lambda self, referent, other: False)
+    unpruned = [describe_or_refuse(*world_case(world, target)) for world, target in cases]
+    assert pruned == unpruned
+    refused = sum(said[0] == "refused" for said in pruned)
+    related = sum(any(a.startswith("s-attrib-rel(") for a in said) for said in pruned)
+    assert refused > 50 and related > 10 and fired_in_descriptions > 0, (
+        refused, related, fired_in_descriptions,
+    )
+
+
+def test_an_object_with_a_superset_of_the_properties_is_inseparable():
+    objects = ["a1", "a2"]
+    facts = [
+        "category(a1, creature)", "category(a2, creature)",
+        "size(a1, small)", "size(a2, small)", "size(a2, large)",
+    ]
+    refused = describe_or_refuse(objects, facts, "a1", preds=["size"])
+    assert refused == ("refused", "no plan achieves the goal")
+    said = describe_or_refuse(objects, facts, "a2", preds=["size"])
+    assert len(said) == 3 and "size(X, large)" in said[2], said
+
+
+def test_twins_in_different_places_are_still_described():
+    objects = ["g1", "g2", "c1", "c2"]
+    facts = [
+        "category(g1, gadget)", "category(g2, gadget)",
+        "category(c1, corner)", "category(c2, corner)",
+        "colour(g1, red)", "colour(g2, red)",
+        "colour(c1, blue)", "colour(c2, green)",
+        "in(g1, c1)", "in(g2, c2)",
+    ]
+    for target, corner in (("g1", "blue"), ("g2", "green")):
+        said = describe_or_refuse(objects, facts, target, preds=["colour"], rels=["in"])
+        assert said[0] != "refused", target
+        assert any(a.startswith("s-attrib-rel(") for a in said), said
+        assert any(f"colour(X, {corner})" in a for a in said), said
+
+
+def test_refusing_a_twin_in_a_large_world_takes_few_solver_calls(monkeypatch):
+    rng = random.Random(40)
+    objects = [f"thing{i + 1}" for i in range(40)]
+    categories = {o: rng.choice(["creature", "lamp"]) for o in objects}
+    attributes = {
+        pred: {o: rng.choice(values) for o in objects}
+        for pred, values in worldgen.ATTRIBUTE_POOL.items()
+    }
+    categories["thing2"] = categories["thing1"]
+    for values in attributes.values():
+        values["thing2"] = values["thing1"]
+    world = worldgen.World(objects, categories, attributes)
+    assert len(world.preds()) == 4
+    assert worldgen.minimal_modifier_count(world, "thing1") is None
+    calls = 0
+    real_solve = planner.solve
+
+    def counting_solve(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "solve", counting_solve)
+    refused = describe_or_refuse(*world_case(world, "thing1"))
+    assert refused == ("refused", "no plan achieves the goal")
+    assert calls <= 20, calls
 
 
 def test_random_dichotomy_worlds_agree_with_enumeration(rng):

@@ -209,15 +209,6 @@ def test_substitute_node_rejects_a_misfit_replacement():
         substitute_node(plan, target_node, reader.read("headnoun(A, B, C)"), ms.ctx.library, ms.names)
 
 
-def test_pretty_renders_every_node():
-    ms = referring_state()
-    plan = build_refer(ms, "a1")
-    text = plan.pretty()
-    assert plan.id in text
-    for name in plan.nodes:
-        assert name in text
-
-
 def test_content_of_unknown_node_raises():
     ms = referring_state()
     plan = build_refer(ms, "a1")

@@ -101,6 +101,50 @@ def test_referring_acts_need_constant_entities(acts):
     assert err.value.line == 6
 
 
+FREE_IN_LAMBDA = """\
+objects: a b
+common_ground:
+  category(a, c)
+  category(b, d)
+turns:
+  user: s-refer(entity1); s-attrib(entity1, lambda(X, category(Y, c)))
+  system: run
+  user: s-accept(current)
+  system: run
+"""
+
+
+@pytest.mark.parametrize(
+    "lam, problem",
+    [
+        ("lambda(X, category(Y, c))", "does not use its parameter X"),
+        ("lambda(X, category(a, c))", "does not use its parameter X"),
+        ("lambda(X, in(X, Y))", "free variable Y"),
+        ("lambda(X, in(X, _))", "free variable _"),
+        ("lambda(X, Y, in(X, a))", "does not use its parameter Y"),
+    ],
+)
+def test_user_lambdas_must_be_closed_and_use_every_parameter(lam, problem):
+    text = FREE_IN_LAMBDA.replace("lambda(X, category(Y, c))", lam)
+    with pytest.raises(ScenarioError, match=problem) as err:
+        load(text)
+    assert err.value.line == 6
+
+
+def test_lambdas_quoted_in_a_clarification_are_checked_too():
+    with pytest.raises(ScenarioError, match="free variable Z"):
+        load(SIMPLE + "  user: s-reject(current, [s-attrib(entity1, lambda(X, f(X, Z)))])\n")
+
+
+def test_cli_run_exit_two_on_a_free_variable_in_a_lambda(tmp_path, capsys):
+    scenario = tmp_path / "free.scn"
+    scenario.write_text(FREE_IN_LAMBDA)
+    assert main(["run", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert "line 6" in captured.err
+    assert "dialogue complete" not in captured.out
+
+
 def test_acts_quoted_in_a_clarification_keep_their_variables():
     sc = load(SIMPLE + "  user: s-reject(current, [s-refer(E), s-attrib(E, lambda(X, f(X)))])\n")
     assert len(sc.turns[-1].acts) == 1

@@ -202,6 +202,17 @@ def test_lambda_unification_is_rigid(names):
     assert unify(lam_a, lam_c) is None
 
 
+def test_lambda_unification_binds_no_variable_to_a_parameter(names):
+    x, y = names.fresh_var("X"), names.fresh_var("Y")
+    free = Lam((x,), mk("category", y, Const("c")))
+    used = Lam((x,), mk("category", x, Const("c")))
+    assert unify(free, used) is None
+    assert unify(used, free) is None
+    z = names.fresh_var("Z")
+    assert unify(Lam((x,), mk("in", x, z)), Lam((y,), mk("in", y, Const("corner1")))).resolve(z) == Const("corner1")
+    assert unify(Lam((x,), mk("in", x, z)), Lam((y,), mk("in", y, mk("f", y)))) is None
+
+
 def test_apply_lambda_substitutes_positionally(names):
     x = names.fresh_var("X")
     lam = Lam((x,), mk("p", x, x))
@@ -222,7 +233,7 @@ def test_substitution_bind_leaves_original_untouched(names):
     x = names.fresh_var("X")
     empty = Substitution()
     bound = empty.bind(x, Const("a"))
-    assert empty.lookup(x) is None
+    assert empty.resolve(x) == x
     assert bound.resolve(x) == Const("a")
     assert len(empty) == 0 and len(bound) == 1
 
