@@ -16,15 +16,23 @@ of their specializations stands in.
 Primitive surface acts and their arities:
   s-refer/1  s-attrib/2  s-attrib-rel/3
   s-accept/1  s-reject/2  s-postpone/2  s-actions/2
+
+The library text is parsed once per process, on the first `build_library`
+call, into a template together with the variables the parse minted, in
+mint order. Each later library is a copy of the template that mints one
+fresh variable per template variable, in that same order, so a mental
+state's library gets the very ids, and leaves its `NameSource` at the very
+next id, that parsing the text with that `NameSource` would.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 from .errors import PlanError
-from .terms import Compound, NameSource, Term, TermReader, rename_apart, variables_of
+from .terms import Compound, Lam, ListTerm, NameSource, Term, TermReader, Var, rename_apart, variables_of
 
 PRIMITIVES: dict[str, int] = {
     "s-refer": 1,
@@ -192,6 +200,55 @@ schema expand-plan(Plan, Acts)
 
 
 def build_library(names: NameSource) -> SchemaLibrary:
+    """A fresh copy of the schema library, its variables minted from names."""
+    template, minted = _template()
+    fresh = {v.uid: names.fresh_var(v.name) for v in minted}
+
+    def copy(t: Term) -> Term:  # unlike map_term, renames lambda parameters too
+        kind = type(t)
+        if kind is Var:
+            return fresh[t.uid]
+        if kind is Compound:
+            return Compound(t.functor, tuple([copy(a) for a in t.args]))
+        if kind is ListTerm:
+            return ListTerm(tuple([copy(i) for i in t.items]))
+        if kind is Lam:
+            return Lam(tuple([fresh[p.uid] for p in t.params]), copy(t.body))
+        return t
+
+    return SchemaLibrary([
+        replace(
+            sc,
+            head=copy(sc.head),
+            steps=tuple(Step(st.kind, copy(st.term)) for st in sc.steps),
+            effect=None if sc.effect is None else copy(sc.effect),
+        )
+        for sc in template
+    ])
+
+
+class _MintRecorder(NameSource):
+    """A NameSource that keeps every variable it mints, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.minted: list[Var] = []
+
+    def fresh_var(self, name: str = "_G") -> Var:
+        var = super().fresh_var(name)
+        self.minted.append(var)
+        return var
+
+
+@functools.cache
+def _template() -> tuple[tuple[ActionSchema, ...], tuple[Var, ...]]:
+    """The parsed library and the variables its parse minted, in mint order."""
+    recorder = _MintRecorder()
+    return tuple(_parse_library(recorder)), tuple(recorder.minted)
+
+
+def _parse_library(names: NameSource) -> list[ActionSchema]:
+    """Parse the library text, minting its variables from names."""
     schemas: list[ActionSchema] = []
     cur: dict | None = None
 
@@ -267,7 +324,7 @@ def build_library(names: NameSource) -> SchemaLibrary:
         else:
             raise PlanError(f"unknown schema line {line!r}")
     flush()
-    return SchemaLibrary(schemas)
+    return schemas
 
 
 def check_primitive_act(t: Term) -> None:

@@ -136,32 +136,51 @@ class Substitution:
 
     def walk(self, t: Term) -> Term:
         """Follow variable bindings at the top level only."""
-        seen: set[int] = set()
-        while isinstance(t, Var):
-            if t.uid in seen:
-                return t
-            seen.add(t.uid)
-            nxt = self._map.get(t.uid)
+        if type(t) is not Var:
+            return t
+        nxt = self._map.get(t.uid)
+        if nxt is None:
+            return t
+        seen = {t.uid}  # only a bound variable pays for the cycle guard
+        while type(nxt) is Var:
+            if nxt.uid in seen:
+                return nxt
+            seen.add(nxt.uid)
+            t, nxt = nxt, self._map.get(nxt.uid)
             if nxt is None:
                 return t
-            t = nxt
-        return t
+        return nxt
 
     def resolve(self, t: Term) -> Term:
-        """Apply bindings all the way down, beta-reducing apply/N as we go."""
+        """Apply bindings all the way down, beta-reducing apply/N as we go.
+
+        A subterm the bindings leave unchanged comes back as the very same
+        object, so resolving a term with nothing to do allocates nothing.
+        """
         t = self.walk(t)
-        if isinstance(t, (Const, Var)):
+        kind = type(t)
+        if kind is Compound:
+            args = t.args
+            new = [self.resolve(a) for a in args]
+            if t.functor == "apply" and new and type(new[0]) is Lam:
+                lam = new[0]
+                if len(lam.params) == len(new) - 1:
+                    return self.resolve(apply_lambda(lam, tuple(new[1:])))
+            for a, b in zip(args, new):
+                if a is not b:
+                    return Compound(t.functor, tuple(new))
             return t
-        if isinstance(t, ListTerm):
-            return ListTerm(tuple(self.resolve(i) for i in t.items))
-        if isinstance(t, Lam):
-            return Lam(t.params, self.resolve(t.body))
-        args = tuple(self.resolve(a) for a in t.args)
-        if t.functor == "apply" and args and isinstance(args[0], Lam):
-            lam = args[0]
-            if len(lam.params) == len(args) - 1:
-                return self.resolve(apply_lambda(lam, args[1:]))
-        return Compound(t.functor, args)
+        if kind is ListTerm:
+            items = t.items
+            new = [self.resolve(i) for i in items]
+            for a, b in zip(items, new):
+                if a is not b:
+                    return ListTerm(tuple(new))
+            return t
+        if kind is Lam:
+            body = self.resolve(t.body)
+            return t if body is t.body else Lam(t.params, body)
+        return t
 
     def __len__(self) -> int:
         return len(self._map)
@@ -237,7 +256,9 @@ def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | Non
     Lambdas unify when their arities match and their bodies unify after
     both parameter lists are replaced by the same rigid placeholder
     constants, without binding any free variable to a term holding one.
-    Placeholders use a reserved `$p` prefix.
+    Placeholders use a reserved `$p` prefix, which the reader rejects; an
+    inner lambda's placeholders are numbered past every placeholder its
+    enclosing levels put into the two terms.
     """
     if s is None:
         s = EMPTY
@@ -267,7 +288,8 @@ def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | Non
     if isinstance(a, Lam) and isinstance(b, Lam):
         if len(a.params) != len(b.params):
             return None
-        rigid = tuple(Const(f"$p{i}") for i in range(len(a.params)))
+        base = max(_placeholder_top(a), _placeholder_top(b))
+        rigid = tuple(Const(f"$p{base + i}") for i in range(len(a.params)))
         body_a, body_b = apply_lambda(a, rigid), apply_lambda(b, rigid)
         s2 = unify(body_a, body_b, s)
         if s2 is None or s2 is s:
@@ -319,13 +341,15 @@ def canon(t: Term, s: Substitution | None = None) -> str:
     """Canonical string key, invariant under variable renaming.
 
     Free variables are numbered by first occurrence; lambda parameters by
-    position. Two terms get the same key iff they are alpha-equivalent.
+    position, and inside a nested lambda also by its depth, so that an
+    inner parameter never shares a key with an outer one. Two terms get
+    the same key iff they are alpha-equivalent.
     """
     if s is not None:
         t = s.resolve(t)
     numbering: dict[int, int] = {}
 
-    def go(x: Term, bound: dict[int, str]) -> str:
+    def go(x: Term, bound: dict[int, str], depth: int = 0) -> str:
         if isinstance(x, Var):
             if x.uid in bound:
                 return bound[x.uid]
@@ -335,13 +359,14 @@ def canon(t: Term, s: Substitution | None = None) -> str:
         if isinstance(x, Const):
             return x.name
         if isinstance(x, ListTerm):
-            return "[" + ",".join(go(i, bound) for i in x.items) + "]"
+            return "[" + ",".join(go(i, bound, depth) for i in x.items) + "]"
         if isinstance(x, Lam):
             inner = dict(bound)
+            level = f"{depth}:" if depth else ""
             for n, p in enumerate(x.params):
-                inner[p.uid] = f"%{n}"
-            return f"\\{len(x.params)}.{go(x.body, inner)}"
-        return x.functor + "(" + ",".join(go(a, bound) for a in x.args) + ")"
+                inner[p.uid] = f"%{level}{n}"
+            return f"\\{len(x.params)}.{go(x.body, inner, depth + 1)}"
+        return x.functor + "(" + ",".join(go(a, bound, depth) for a in x.args) + ")"
 
     return go(t, {})
 
@@ -356,6 +381,19 @@ def _is_free_var(x: Term, bound: frozenset[int]) -> bool:
 
 def _is_placeholder(x: Term, _bound: frozenset[int]) -> bool:
     return type(x) is Const and x.name.startswith("$p")
+
+
+def _placeholder_top(t: Term) -> int:
+    """One past the highest `$pN` placeholder index in t, 0 if none."""
+    top = 0
+
+    def note(x: Term, _bound: frozenset[int]) -> None:
+        nonlocal top
+        if _is_placeholder(x, _bound):
+            top = max(top, int(x.name[2:]) + 1)
+
+    visit(t, note)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +523,9 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(c)
             i += 1
             continue
-        if c.isalnum() or c in "_$":
+        if c.isalnum() or c == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] in "_$-"):
+            while j < n and (text[j].isalnum() or text[j] in "_-"):
                 j += 1
             # a hyphen only joins when both sides are word chars (s-refer),
             # so trim any trailing hyphen back off

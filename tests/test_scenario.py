@@ -145,6 +145,24 @@ def test_cli_run_exit_two_on_a_free_variable_in_a_lambda(tmp_path, capsys):
     assert "dialogue complete" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("lambda(X, category(Y, c))", "lambda(X, in(X, $p0))", 6),
+        ("category(b, d)", "in(b, $p0)", 4),
+    ],
+)
+def test_reserved_placeholder_names_are_a_scenario_error(tmp_path, capsys, old, new, line):
+    text = FREE_IN_LAMBDA.replace(old, new)
+    with pytest.raises(ScenarioError, match="bad character") as err:
+        load(text)
+    assert err.value.line == line
+    scenario = tmp_path / "placeholder.scn"
+    scenario.write_text(text)
+    assert main(["run", str(scenario)]) == 2
+    assert f"line {line}" in capsys.readouterr().err
+
+
 def test_acts_quoted_in_a_clarification_keep_their_variables():
     sc = load(SIMPLE + "  user: s-reject(current, [s-refer(E), s-attrib(E, lambda(X, f(X)))])\n")
     assert len(sc.turns[-1].acts) == 1

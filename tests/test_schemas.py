@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from collabref import NameSource, PlanError, build_library
-from collabref.schemas import StepKind, check_primitive_act
-from collabref.terms import Compound, read_term, variables_of
+from collabref.schemas import SchemaLibrary, StepKind, _parse_library, _template, check_primitive_act
+from collabref.terms import Compound, Lam, TermReader, read_term, variables_of, visit
 
 
 def test_library_holds_the_expected_schemas(names):
@@ -125,3 +125,58 @@ def test_duplicate_schema_names_rejected(names):
     a = ActionSchema("thing", head, (), None)
     with pytest.raises(PlanError):
         SchemaLibrary([a, a])
+
+
+# -- the library template ----------------------------------------------------
+
+def _lambda_params(lib):
+    found = []
+
+    def note(x, _bound):
+        if isinstance(x, Lam):
+            found.extend(x.params)
+
+    for sc in lib.by_name.values():
+        for t in [sc.head, sc.effect] + [st.term for st in sc.steps]:
+            if t is not None:
+                visit(t, note)
+    return found
+
+
+@pytest.mark.parametrize("start", [1, 2, 88, 1000])
+def test_library_copy_equals_a_fresh_parse(start):
+    build_library(NameSource())  # the template exists from here on
+    copied, parsed = NameSource(start), NameSource(start)
+    lib = build_library(copied)
+    direct = SchemaLibrary(_parse_library(parsed))
+    assert lib.order == direct.order
+    assert lib.by_name == direct.by_name  # Var uids and names included
+    assert _lambda_params(lib) == _lambda_params(direct)
+    assert _lambda_params(lib)
+    assert copied.next_id() == parsed.next_id()
+
+
+def test_library_text_is_read_once_per_process(monkeypatch):
+    _template.cache_clear()
+    reads = []
+    real = TermReader.read
+    monkeypatch.setattr(TermReader, "read", lambda self, text: reads.append(text) or real(self, text))
+    build_library(NameSource())
+    assert len(reads) == 85
+    build_library(NameSource())
+    build_library(NameSource(50))
+    assert len(reads) == 85
+
+
+def test_libraries_from_one_name_source_share_no_variable(names):
+    def uids(lib):
+        out = {p.uid for p in _lambda_params(lib)}
+        for sc in lib.by_name.values():
+            for t in [sc.head, sc.effect] + [st.term for st in sc.steps]:
+                if t is not None:
+                    out.update(v.uid for v in variables_of(t))
+        return out
+
+    first, second = uids(build_library(names)), uids(build_library(names))
+    assert first and second
+    assert first.isdisjoint(second)

@@ -213,6 +213,13 @@ def test_lambda_unification_binds_no_variable_to_a_parameter(names):
     assert unify(Lam((x,), mk("in", x, z)), Lam((y,), mk("in", y, mk("f", y)))) is None
 
 
+def test_nested_lambdas_get_their_own_placeholders(names):
+    outer_first = read_term("lambda(X, f(lambda(Y, g(X, Y))))", names)
+    inner_first = read_term("lambda(X, f(lambda(Y, g(Y, X))))", names)
+    assert unify(outer_first, inner_first) is None
+    assert unify(outer_first, read_term("lambda(Z, f(lambda(W, g(Z, W))))", names)) is not None
+
+
 def test_apply_lambda_substitutes_positionally(names):
     x = names.fresh_var("X")
     lam = Lam((x,), mk("p", x, x))
@@ -243,6 +250,14 @@ def test_resolve_walks_chains(names):
     s = Substitution().bind(x, y).bind(y, z).bind(z, Const("a"))
     assert s.resolve(mk("f", x)) == mk("f", Const("a"))
     assert s.walk(x) == Const("a")
+
+
+def test_walk_stops_on_a_cyclic_chain(names):
+    x, y = names.fresh_var("X"), names.fresh_var("Y")
+    s = Substitution().bind(x, y).bind(y, x)
+    assert s.walk(x) == x
+    assert s.walk(y) == y
+    assert s.resolve(mk("f", x, y)) == mk("f", x, y)
 
 
 def test_reader_round_trips_structure(names):
@@ -286,7 +301,7 @@ def test_separate_readers_do_not_share_variables(names):
 
 
 def test_reader_rejects_malformed_input(names):
-    for bad in ["", "f(", "f(a,)", ")", "f(a b)", "[a,", "lambda(a, p(a))"]:
+    for bad in ["", "f(", "f(a,)", ")", "f(a b)", "[a,", "lambda(a, p(a))", "f($p0)", "$p0", "a$"]:
         with pytest.raises(TermSyntaxError):
             read_term(bad, names)
 
@@ -434,3 +449,146 @@ def test_apply_lambda_substitutes_exactly_the_free_parameters(lam, args):
     args = tuple(args[: len(lam.params)])
     env = {p.uid: a for p, a in zip(lam.params, args)}
     assert apply_lambda(lam, args) == substitute_free(lam.body, env)
+
+
+# Ground lambdas: constants stand in for the free variables, so only
+# parameters are left and unification is alpha-equivalence.
+GROUND = st.builds(
+    lambda t, consts: substitute_free(t, {v.uid: c for v, c in zip(LAM_VARS, consts)}),
+    LAMBDAS,
+    st.lists(st.sampled_from(UNIVERSE[:2]), min_size=4, max_size=4),
+)
+
+
+def rename(t, perm, params=True):
+    """Rename variable occurrences, and parameters unless told not to."""
+    if isinstance(t, Var):
+        return perm[t.uid]
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(rename(a, perm, params) for a in t.args))
+    if isinstance(t, ListTerm):
+        return ListTerm(tuple(rename(i, perm, params) for i in t.items))
+    if isinstance(t, Lam):
+        ps = tuple(perm[p.uid] for p in t.params) if params else t.params
+        return Lam(ps, rename(t.body, perm, params))
+    return t
+
+
+@st.composite
+def ground_pairs(draw):
+    """An independent pair, an alpha-variant, or a near miss that renames
+    occurrences but not the parameters that bind them."""
+    a = draw(GROUND)
+    kind = draw(st.sampled_from(["other", "variant", "near miss"]))
+    if kind == "other":
+        return a, draw(GROUND)
+    perm = dict(zip((v.uid for v in LAM_VARS), draw(st.permutations(LAM_VARS))))
+    return a, rename(a, perm, params=kind == "variant")
+
+
+@TERM_SETTINGS
+@given(ground_pairs())
+@example((SHADOWED, _lam(LAM_VARS[:2], mk("f", _lam(LAM_VARS[1:2], mk("g", LAM_VARS[1], LAM_VARS[1]))))))
+@example((_lam(LAM_VARS[:1], mk("f", _lam(LAM_VARS[1:2], mk("g", LAM_VARS[0], LAM_VARS[1])))),
+          _lam(LAM_VARS[:1], mk("f", _lam(LAM_VARS[1:2], mk("g", LAM_VARS[1], LAM_VARS[0]))))))
+def test_ground_terms_unify_exactly_when_alpha_equivalent(pair):
+    a, b = pair
+    assert (unify(a, b) is not None) == (canon(a) == canon(b))
+
+
+# -- the resolve kernel ------------------------------------------------------
+
+# Predicate variables may stand in the function position of `apply`; lambda
+# parameters never do, so beta reduction always terminates.
+PRED_VARS = [_POOL.fresh_var(n) for n in ("P", "Q")]
+
+
+def _apply(fn, args):
+    return Compound("apply", (fn, *args))
+
+
+def terms_over(data_vars, pred_vars):
+    """Terms over the given variables, with `apply` of lambdas and of
+    predicate variables mixed in."""
+    leaves = st.sampled_from(UNIVERSE[:2])
+    if data_vars:
+        leaves = st.one_of(leaves, st.sampled_from(data_vars))
+
+    def nest(inner):
+        fn = st.sampled_from(pred_vars) if pred_vars else st.nothing()
+        options = [
+            st.builds(lambda f, xs: Compound(f, tuple(xs)), st.sampled_from(["f", "g"]),
+                      st.lists(inner, min_size=1, max_size=2)),
+            st.lists(inner, max_size=2).map(lambda xs: ListTerm(tuple(xs))),
+        ]
+        args = st.lists(inner, min_size=1, max_size=2)
+        options.append(st.builds(_apply, fn, args))
+        if data_vars:
+            params = st.lists(st.sampled_from(data_vars), min_size=1, max_size=2, unique=True)
+            lam = st.builds(_lam, params, inner)
+            # mostly as many arguments as parameters, so that it reduces
+            options += [lam, st.builds(lambda f, xs: _apply(f, xs[: len(f.params)]), lam, args)]
+        return st.one_of(options)
+
+    return st.recursive(leaves, nest, max_leaves=8)
+
+
+def _value(var, later):
+    data = [v for v in later if v in LAM_VARS]
+    value = terms_over(data, [v for v in later if v in PRED_VARS])
+    if var in PRED_VARS and data:
+        params = st.lists(st.sampled_from(data), min_size=1, max_size=2, unique=True)
+        value = st.builds(_lam, params, value)
+    return st.one_of(st.none(), value)
+
+
+# Acyclic bindings: a variable's value holds only variables after it in
+# this order, predicate variables first.
+_ORDER = PRED_VARS + LAM_VARS
+BINDINGS = st.tuples(*(_value(v, _ORDER[i + 1:]) for i, v in enumerate(_ORDER))).map(
+    lambda values: {v.uid: x for v, x in zip(_ORDER, values) if x is not None}
+)
+
+
+def reference_resolve(t, m):
+    """Reference: rebuild everything, beta-reducing with substitute_free."""
+    while isinstance(t, Var) and t.uid in m:  # the bindings are acyclic
+        t = m[t.uid]
+    if isinstance(t, Compound):
+        args = tuple(reference_resolve(a, m) for a in t.args)
+        fn = args[0] if args else None
+        if t.functor == "apply" and isinstance(fn, Lam) and len(fn.params) == len(args) - 1:
+            env = {p.uid: a for p, a in zip(fn.params, args[1:])}
+            return reference_resolve(substitute_free(fn.body, env), m)
+        return Compound(t.functor, args)
+    if isinstance(t, ListTerm):
+        return ListTerm(tuple(reference_resolve(i, m) for i in t.items))
+    if isinstance(t, Lam):
+        return Lam(t.params, reference_resolve(t.body, m))
+    return t
+
+
+RESOLVE_TERMS = terms_over(LAM_VARS, PRED_VARS)
+
+
+@TERM_SETTINGS
+@given(RESOLVE_TERMS, BINDINGS)
+def test_resolve_agrees_with_the_rebuilding_reference(t, m):
+    assert Substitution(m).resolve(t) == reference_resolve(t, m)
+
+
+@TERM_SETTINGS
+@given(RESOLVE_TERMS, BINDINGS)
+def test_resolve_is_idempotent(t, m):
+    s = Substitution(m)
+    once = s.resolve(t)
+    assert s.resolve(once) == once
+
+
+@TERM_SETTINGS
+@given(TERMS, BINDINGS)
+def test_resolve_returns_a_term_it_leaves_unchanged_itself(t, m):
+    # resolve does not track lambda binders, so no variable of t is bound,
+    # parameters included; TERMS holds no apply
+    s = Substitution({uid: v for uid, v in m.items() if uid not in all_uids(t)})
+    assert s.resolve(t) is t
