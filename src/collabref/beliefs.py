@@ -13,16 +13,16 @@ Stored propositions may contain variables (read existentially). Whether a
 proposition is ground is recorded once, when it is asserted. Each bucket
 files its ground propositions under (functor, arity) and, when the first
 argument is a constant, under (functor, arity, constant) too, as WAM
-first-argument indexing does. A query resolves its pattern's functor and
-first argument, takes the most specific key that fits, and unifies the
-ground propositions filed there as they are. Non-ground propositions are
-not indexed: every one of them is renamed apart on every query, so callers
-never capture store variables, and the candidates are merged back into
-insertion order.
+first-argument indexing does; it files its non-ground compounds under
+(functor, arity) only. A query resolves its pattern's functor and first
+argument, takes the most specific key that fits, and unifies the ground
+propositions filed there as they are and the non-ground ones of the same
+functor and arity renamed apart, so callers never capture store
+variables; the candidates are merged back into insertion order.
 
-Renaming a ground proposition apart mints no ids, so skipping it leaves the
-NameSource counter where the plain scan of the whole bucket left it: plan,
-node and variable ids, and so transcripts, do not depend on the index.
+Renaming mints variables only, and variables have their own stream in a
+NameSource, so how many propositions a query renames moves no plan or
+node id: transcripts do not depend on the index.
 
 Queries arrive as goal terms (bel(...), bmb(...), world(...), plain facts)
 and answer with a list of substitutions, one per solution, in a stable
@@ -85,7 +85,8 @@ class _Store:
         self.keys: set[str] = set()
         self.functors: set[str] = set()
         self.ground: dict[tuple, list[Entry]] = {}
-        self.nonground: list[Entry] = []
+        self.nonground: dict[tuple, list[Entry]] = {}
+        self.loose: list[Entry] = []  # non-ground and not a compound
         for entry in entries:
             self.add(entry, canon(entry[1]))
 
@@ -93,15 +94,18 @@ class _Store:
         _, prop, ground = entry
         self.entries.append(entry)
         self.keys.add(key)
-        if isinstance(prop, Compound):
-            self.functors.add(prop.functor)
+        if not isinstance(prop, Compound):
+            if not ground:
+                self.loose.append(entry)
+            return
+        self.functors.add(prop.functor)
+        top = (prop.functor, len(prop.args))
         if not ground:
-            self.nonground.append(entry)
-        elif isinstance(prop, Compound):
-            top = (prop.functor, len(prop.args))
-            self.ground.setdefault(top, []).append(entry)
-            if prop.args and isinstance(prop.args[0], Const):
-                self.ground.setdefault(top + (prop.args[0].name,), []).append(entry)
+            self.nonground.setdefault(top, []).append(entry)
+            return
+        self.ground.setdefault(top, []).append(entry)
+        if prop.args and isinstance(prop.args[0], Const):
+            self.ground.setdefault(top + (prop.args[0].name,), []).append(entry)
 
     def candidates(self, key: tuple | None):
         """Every entry that could unify with a pattern of this key, in order.
@@ -110,10 +114,10 @@ class _Store:
         """
         if key is None:
             return self.entries
-        filed = self.ground.get(key, ())
-        if not self.nonground:
-            return filed
-        return heapq.merge(filed, self.nonground) if filed else self.nonground
+        lists = [x for x in (self.ground.get(key), self.nonground.get(key[:2]), self.loose) if x]
+        if len(lists) > 1:
+            return heapq.merge(*lists)
+        return lists[0] if lists else ()
 
 
 def _key(pattern: Term, s: Substitution) -> tuple | None:
@@ -279,21 +283,18 @@ class BeliefBase:
         if not isinstance(pred, Var):
             return []
         out: list[Substitution] = []
-        seen: set[str] = set()
+        seen: set[tuple[str, str]] = set()
         store = self._stores[Bucket.COMMON_GROUND]
         for functor in self.modifier_preds:
             for _, fact, _ in store.candidates((functor, 2)):
                 if not (isinstance(fact, Compound) and fact.functor == functor):
                     continue
-                if len(fact.args) != 2:
-                    continue
-                x = self.names.fresh_var("X")
-                lam = Lam((x,), mk(functor, x, fact.args[1]))
-                key = canon(lam)
+                key = (functor, canon(fact.args[1]))
                 if key in seen:
                     continue
                 seen.add(key)
-                s2 = unify(pred, lam, s)
+                x = self.names.fresh_var("X")
+                s2 = unify(pred, Lam((x,), mk(functor, x, fact.args[1])), s)
                 if s2 is not None:
                     out.append(s2)
         return out
@@ -334,9 +335,8 @@ class BeliefBase:
         """
         store = self._stores[Bucket.COMMON_GROUND]
         functors = self.modifier_preds + self.modifier_rel_preds
-        for _, prop, _ in store.nonground:
-            if not isinstance(prop, Compound) or prop.functor in functors:
-                return False
+        if store.loose or any(f in functors for f, _ in store.nonground):
+            return False
         for functor in functors:
             theirs = {fact.args[1] for _, fact, _ in store.ground.get((functor, 2, other.name), ())}
             for _, fact, _ in store.ground.get((functor, 2, referent.name), ()):

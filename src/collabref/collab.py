@@ -76,13 +76,6 @@ class EventLog:
     def add(self, line: str) -> None:
         self.lines.append(line)
 
-    def rule_numbers(self) -> list[int]:
-        out = []
-        for line in self.lines:
-            if line.startswith("rule "):
-                out.append(int(line.split()[1]))
-        return out
-
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 

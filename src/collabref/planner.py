@@ -326,7 +326,7 @@ def _replan_recognize(
         s0 = unify_bridged(content, instance.head, work, ctx.library)
         if s0 is None:
             continue
-        for children, s1 in _match_steps(list(instance.steps), acts, s0, ctx):
+        for children, s1 in _match_steps(instance, 0, acts, s0, ctx):
             _graft(target, hole, choice, instance, children, ctx)
             target.bindings = s1
             target.status = PlanStatus.COMPLETE
@@ -447,40 +447,53 @@ class _TmpNode:
     children: list
 
 
-def _match_steps(steps, span, s, ctx):
-    """Yield (children, substitution) pairs deriving exactly this act span."""
-    if not steps:
+def _match_steps(instance, i, span, s, ctx):
+    """Yield (children, substitution) pairs deriving exactly this act span
+    from the instance's steps i onwards.
+
+    A schema choice, or a split of the span, that leaves some part fewer
+    acts than it yields at the least is never tried: it could derive
+    nothing, so the same parses come out in the same order.
+    """
+    steps, least = instance.steps, ctx.library.least_from
+    if least[instance.name][i] > len(span):
+        return
+    if i == len(steps):
         if not span:
             yield [], s
         return
-    head, rest = steps[0], steps[1:]
+    head = steps[i]
     if head.kind in (StepKind.CONSTRAINT, StepKind.MENTAL):
-        yield from _match_steps(rest, span, s, ctx)
+        yield from _match_steps(instance, i + 1, span, s, ctx)
         return
     if head.kind is StepKind.PRIMITIVE:
         if span:
             s2 = unify(head.term, span[0], s)
             if s2 is not None:
-                yield from _match_steps(rest, span[1:], s2, ctx)
+                yield from _match_steps(instance, i + 1, span[1:], s2, ctx)
         return
     expected = s.resolve(head.term)
     if not isinstance(expected, Compound):
         return
+    room = len(span) - least[instance.name][i + 1]
     for choice in _concrete_choices(expected.functor, ctx.library):
-        instance = ctx.library.get(choice).instantiate(ctx.names)
-        s2 = unify_bridged(expected, instance.head, s, ctx.library)
+        fewest = least[choice][0] if choice in least else 0
+        if fewest > room:
+            continue
+        child = ctx.library.get(choice).instantiate(ctx.names)
+        s2 = unify_bridged(expected, child.head, s, ctx.library)
         if s2 is None:
             continue
-        for take in range(len(span) + 1):
-            for kids, s3 in _match_steps(list(instance.steps), span[:take], s2, ctx):
-                node = _TmpNode(choice, instance, kids)
-                for others, s4 in _match_steps(rest, span[take:], s3, ctx):
+        for take in range(fewest, room + 1):
+            for kids, s3 in _match_steps(child, 0, span[:take], s2, ctx):
+                node = _TmpNode(choice, child, kids)
+                for others, s4 in _match_steps(instance, i + 1, span[take:], s3, ctx):
                     yield [node] + others, s4
 
 
 def _parse_with_root(root_schema: str, acts: list[Term], ctx: PlannerContext):
     instance = ctx.library.get(root_schema).instantiate(ctx.names)
-    for kids, s in _match_steps(list(instance.steps), acts, Substitution(), ctx):
+    for kids, s in _match_steps(instance, 0, acts, Substitution(), ctx):
         yield _TmpNode(root_schema, instance, kids), s
 
 

@@ -18,21 +18,25 @@ Primitive surface acts and their arities:
   s-accept/1  s-reject/2  s-postpone/2  s-actions/2
 
 The library text is parsed once per process, on the first `build_library`
-call, into a template together with the variables the parse minted, in
-mint order. Each later library is a copy of the template that mints one
-fresh variable per template variable, in that same order, so a mental
-state's library gets the very ids, and leaves its `NameSource` at the very
-next id, that parsing the text with that `NameSource` would.
+call, and every mental state shares the one library. Its variables take
+uids from a reserved range below zero, which no state's `NameSource`
+reaches, and no schema is ever used as it stands: `instantiate` copies it
+with a fresh variable, from the state's own `NameSource`, for each of its
+free variables, which each schema lists once. Variables have
+their own stream in a `NameSource`, so none of this moves a public plan or
+node id. The library also records, once, the fewest surface acts each
+schema can yield, which lets recognition skip act spans too short to
+derive.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import PlanError
-from .terms import Compound, Lam, ListTerm, NameSource, Term, TermReader, Var, rename_apart, variables_of
+from .terms import Compound, Lam, ListTerm, NameSource, Term, TermReader, Var, variables_of
 
 PRIMITIVES: dict[str, int] = {
     "s-refer": 1,
@@ -43,6 +47,10 @@ PRIMITIVES: dict[str, int] = {
     "s-postpone": 2,
     "s-actions": 2,
 }
+
+# More surface acts than any span holds: the yield of a schema that cannot
+# be derived at all.
+_UNBOUNDED = 1 << 30
 
 
 class StepKind(enum.Enum):
@@ -67,22 +75,42 @@ class ActionSchema:
     abstract: bool = False
     specializes: str | None = None
 
+    @functools.cached_property
+    def variables(self) -> tuple[Var, ...]:
+        """Free variables of head, steps and effect, in first-occurrence order."""
+        terms = [self.head] + [st.term for st in self.steps]
+        if self.effect is not None:
+            terms.append(self.effect)
+        return tuple(variables_of(Compound("$schema", tuple(terms))))
+
     def instantiate(self, names: NameSource) -> "ActionSchema":
-        """Fresh copy with all variables renamed apart, consistently."""
-        shell = Compound(
-            "$schema",
-            (self.head,) + tuple(st.term for st in self.steps) + ((self.effect,) if self.effect else ()),
+        """Fresh copy with all free variables renamed apart, consistently."""
+        mapping = {v.uid: names.fresh_var(v.name) for v in self.variables}
+        return ActionSchema(
+            self.name,
+            _copy(self.head, mapping),
+            tuple([Step(st.kind, _copy(st.term, mapping)) for st in self.steps]),
+            None if self.effect is None else _copy(self.effect, mapping),
+            self.abstract,
+            self.specializes,
         )
-        fresh = rename_apart(shell, names)
-        assert isinstance(fresh, Compound)
-        head = fresh.args[0]
-        assert isinstance(head, Compound)
-        n = len(self.steps)
-        steps = tuple(
-            Step(self.steps[i].kind, fresh.args[1 + i]) for i in range(n)
-        )
-        effect = fresh.args[1 + n] if self.effect else None
-        return ActionSchema(self.name, head, steps, effect, self.abstract, self.specializes)
+
+
+def _copy(t: Term, mapping: dict[int, Var]) -> Term:
+    """t with its variables renamed by uid. A lambda parameter in mapping is
+    renamed along with its occurrences, which keeps the lambda the same up
+    to renaming, so no scope needs tracking."""
+    kind = type(t)
+    if kind is Var:
+        return mapping.get(t.uid, t)
+    if kind is Compound:
+        return Compound(t.functor, tuple([_copy(a, mapping) for a in t.args]))
+    if kind is ListTerm:
+        return ListTerm(tuple([_copy(i, mapping) for i in t.items]))
+    if kind is Lam:
+        params = tuple([mapping.get(p.uid, p) for p in t.params])
+        return Lam(params, _copy(t.body, mapping))
+    return t
 
 
 class SchemaLibrary:
@@ -98,6 +126,40 @@ class SchemaLibrary:
         for sc in schemas:
             if sc.specializes:
                 self.specializations.setdefault(sc.specializes, []).append(sc.name)
+        self.least_from = self._least_yields(schemas)
+
+    def _least_yields(self, schemas: list[ActionSchema]) -> dict[str, tuple[int, ...]]:
+        """For each schema, the fewest surface acts its steps from i on can
+        yield, for each i up to and including len(steps). An abstract
+        schema, which has no steps, gets its cheapest specialization's.
+        Relaxed from "unbounded" until nothing changes, since schemas
+        recurse."""
+        least = {sc.name: _UNBOUNDED for sc in schemas}
+
+        def cost(st: Step) -> int:
+            if st.kind is StepKind.PRIMITIVE:
+                return 1
+            if st.kind is StepKind.ACTION:
+                return least.get(st.term.functor, 0)
+            return 0
+
+        changed = True
+        while changed:
+            changed = False
+            for sc in schemas:
+                if sc.abstract:
+                    new = min((least[n] for n in self.specializations.get(sc.name, ())), default=_UNBOUNDED)
+                else:
+                    new = sum(cost(st) for st in sc.steps)
+                if new < least[sc.name]:
+                    least[sc.name], changed = new, True
+        out = {}
+        for sc in schemas:
+            suffix = [0]
+            for st in reversed(sc.steps):
+                suffix.append(suffix[-1] + cost(st))
+            out[sc.name] = (least[sc.name],) if sc.abstract else tuple(reversed(suffix))
+        return out
 
     def get(self, name: str) -> ActionSchema:
         try:
@@ -200,51 +262,23 @@ schema expand-plan(Plan, Acts)
 
 
 def build_library(names: NameSource) -> SchemaLibrary:
-    """A fresh copy of the schema library, its variables minted from names."""
-    template, minted = _template()
-    fresh = {v.uid: names.fresh_var(v.name) for v in minted}
+    """The schema library, shared by every mental state of the process.
 
-    def copy(t: Term) -> Term:  # unlike map_term, renames lambda parameters too
-        kind = type(t)
-        if kind is Var:
-            return fresh[t.uid]
-        if kind is Compound:
-            return Compound(t.functor, tuple([copy(a) for a in t.args]))
-        if kind is ListTerm:
-            return ListTerm(tuple([copy(i) for i in t.items]))
-        if kind is Lam:
-            return Lam(tuple([fresh[p.uid] for p in t.params]), copy(t.body))
-        return t
-
-    return SchemaLibrary([
-        replace(
-            sc,
-            head=copy(sc.head),
-            steps=tuple(Step(st.kind, copy(st.term)) for st in sc.steps),
-            effect=None if sc.effect is None else copy(sc.effect),
-        )
-        for sc in template
-    ])
+    names is not used: a state mints its variables when it instantiates a
+    schema, from the NameSource it passes to `instantiate`.
+    """
+    return _library()
 
 
-class _MintRecorder(NameSource):
-    """A NameSource that keeps every variable it mints, in order."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.minted: list[Var] = []
-
-    def fresh_var(self, name: str = "_G") -> Var:
-        var = super().fresh_var(name)
-        self.minted.append(var)
-        return var
+# The library's variables take uids from here up, and a NameSource counts
+# from 1 unless told otherwise, so a library variable never meets a
+# state's.
+_TEMPLATE_START = -1_000_000
 
 
 @functools.cache
-def _template() -> tuple[tuple[ActionSchema, ...], tuple[Var, ...]]:
-    """The parsed library and the variables its parse minted, in mint order."""
-    recorder = _MintRecorder()
-    return tuple(_parse_library(recorder)), tuple(recorder.minted)
+def _library() -> SchemaLibrary:
+    return SchemaLibrary(_parse_library(NameSource(_TEMPLATE_START)))
 
 
 def _parse_library(names: NameSource) -> list[ActionSchema]:

@@ -78,21 +78,28 @@ def mk(functor: str, *args: Term) -> Compound:
 
 
 class NameSource:
-    """Single counter behind every fresh variable, plan, node and entity id.
+    """The counters behind every fresh variable, plan, node and entity id.
 
-    Sharing one counter keeps generated names globally unique and makes
-    whole runs reproducible: the same scenario always mints the same ids.
+    Two streams, both starting at `start`: `next_id` numbers the public
+    plan (`p7`) and node (`n8`) ids a transcript shows, and `fresh_var`
+    numbers variables. A transcript shows a variable's uid only for an
+    anonymous `_` variable (as `_<uid>`), and those the reader mints while
+    a scenario loads. So however many variables renaming, instantiation
+    or search mint, the public ids of a run stay the same, and the same
+    scenario always gets the same transcript. Entities (`entity3`) have a
+    counter of their own.
     """
 
     def __init__(self, start: int = 1):
         self._counter = itertools.count(start)
+        self._var_counter = itertools.count(start)
         self._entity_counter = 0
 
     def next_id(self) -> int:
         return next(self._counter)
 
     def fresh_var(self, name: str = "_G") -> Var:
-        return Var(name, self.next_id())
+        return Var(name, next(self._var_counter))
 
     def plan_name(self) -> Const:
         return Const(f"p{self.next_id()}")

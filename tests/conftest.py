@@ -48,6 +48,11 @@ def make_state(
     return MentalState(base, library, names, pick_order or [])
 
 
+def rule_numbers(lines: list[str]) -> list[int]:
+    """The numbers of the rules an event log records firing, in order."""
+    return [int(line.split()[1]) for line in lines if line.startswith("rule ")]
+
+
 def golden_state() -> MentalState:
     return make_state(
         GOLDEN_OBJECTS,

@@ -15,7 +15,6 @@ import pytest
 from collabref import (
     Compound,
     Const,
-    EventLog,
     NoPlanError,
     Perspective,
     TermReader,
@@ -31,7 +30,7 @@ from collabref.beliefs import SYSTEM, USER
 from collabref.plans import ItemKind
 from collabref.terms import ListTerm, NameSource, Substitution, Var
 
-from conftest import DATA_DIR, SCENARIO_DIR, golden_state, make_state, opening_request
+from conftest import DATA_DIR, SCENARIO_DIR, golden_state, make_state, opening_request, rule_numbers
 from worldgen import (
     ATTRIBUTE_POOL,
     CATEGORY_POOL,
@@ -284,9 +283,7 @@ def test_criterion_replay_matches_checked_in_transcript():
     pinned = (DATA_DIR / "weird_creature_events.txt").read_text()
     assert transcript.text() == pinned
 
-    log = EventLog()
-    log.lines = transcript.lines
-    flat = log.rule_numbers()
+    flat = rule_numbers(transcript.lines)
     assert flat == [1, 3, 4, 8, 1, 2, 5, 9, 1, 2, 6, 1, 2, 5, 1, 2, 6, 3, 10, 1, 2, 7]
 
     groups, current = [], None

@@ -4,7 +4,7 @@ The randomized checks grade the query machinery against plain set
 membership over the very fact lines that were loaded, so the expected
 answers never pass through unification at all. The property test grades
 the indexed store against a plain scan that renames apart and unifies
-every stored item, solution for solution and id for id.
+every stored item, solution for solution and in the same order.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def fact(functor, args, hole, var):
 
 FACTS = one_in(
     10,
-    st.sampled_from([mk("size"), Const("a")]),
+    st.sampled_from([mk("size"), Const("a"), X]),
     st.builds(
         fact,
         FUNCTORS,
@@ -389,6 +389,12 @@ def goal_of(form, pattern):
     [(Bucket.COMMON_GROUND, mk("colour", X)), (Bucket.COMMON_GROUND, mk("colour", Const("a")))],
     [("query", "bmb", mk("colour", Y)), ("query", "bmb", mk("colour", Const("a")))],
 )
+@example(  # non-ground items of two functors and a bare variable, interleaved
+    [(Bucket.COMMON_GROUND, mk("size", X)), (Bucket.COMMON_GROUND, mk("colour", Const("b"), Y)),
+     (Bucket.COMMON_GROUND, X), (Bucket.COMMON_GROUND, mk("colour", X, Const("a")))],
+    [("query", "bmb", mk("colour", Z, Const("a"))), ("query", "bmb", mk("size", Const("b"))),
+     ("retract", Bucket.COMMON_GROUND, mk("size", Z)), ("query", "bmb", mk("colour", Z, Y))],
+)
 def test_indexed_store_matches_a_plain_scan(stored, ops):
     base = BeliefBase(["a", "b", "c"], NameSource(100))
     plain = PlainStore(NameSource(100))
@@ -404,7 +410,6 @@ def test_indexed_store_matches_a_plain_scan(stored, ops):
             got = [canon(goal, s) for s in base.query(goal, PERSP, Substitution())]
             want = [canon(goal, s) for s in plain.query(where, term)]
             assert got == want
-    assert base.names.next_id() == plain.names.next_id()
 
 
 def test_constant_first_argument_query_touches_only_its_key(monkeypatch):
@@ -434,3 +439,24 @@ def test_constant_first_argument_query_touches_only_its_key(monkeypatch):
     assert len(got) == 20
     assert renamed == []
     assert len(unified) <= sum(line.startswith("size(") for line in lines)
+
+
+def test_a_query_renames_only_the_open_facts_of_its_functor(monkeypatch):
+    base, names = fresh_base(["a", "b"], ["colour"])
+    load(base, names, Bucket.COMMON_GROUND,
+         ["size(a, S)", "colour(a, C)", "size(b, T)", "colour(b, red)", "colour(a, D, E)", "size(a, U)"])
+    renamed = []
+    real_rename = beliefs.rename_apart
+    monkeypatch.setattr(beliefs, "rename_apart", lambda t, n: renamed.append(t) or real_rename(t, n))
+    sols = base.query(read_term("bmb(system, user, colour(X, Y))", names), PERSP, Substitution())
+    assert len(sols) == 2
+    assert [canon(t) for t in renamed] == [canon(read_term("colour(a, C)", names))]
+
+    # one lambda per distinct value, not one per fact
+    load(base, names, Bucket.COMMON_GROUND, ["colour(a, red)", "colour(b, blue)"])
+    pred = read_term("modifier-pred(P)", names)
+    minted = []
+    real_fresh = names.fresh_var
+    monkeypatch.setattr(names, "fresh_var", lambda name: minted.append(name) or real_fresh(name))
+    assert len(base.query(pred, PERSP, Substitution())) == 3  # C, red and blue
+    assert len(minted) == 3

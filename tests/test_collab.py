@@ -17,7 +17,7 @@ from collabref import (
 )
 from collabref.terms import ListTerm
 
-from conftest import golden_state, make_state, opening_request
+from conftest import golden_state, make_state, opening_request, rule_numbers
 
 FLAT_RULE_SEQUENCE = [1, 3, 4, 8, 1, 2, 5, 9, 1, 2, 6, 1, 2, 5, 1, 2, 6, 3, 10, 1, 2, 7]
 
@@ -60,7 +60,7 @@ def run_golden_dialogue(ms):
 
 def test_golden_negotiation_fires_the_rules_in_order(golden):
     notes = run_golden_dialogue(golden)
-    assert golden.log.rule_numbers() == FLAT_RULE_SEQUENCE
+    assert rule_numbers(golden.log.lines) == FLAT_RULE_SEQUENCE
     assert notes["opening"].kind is Verdict.ERROR_AT
 
 
@@ -107,9 +107,9 @@ def test_error_judgment_withdraws_presumed_adequacy(golden):
 
 def test_rule_instances_fire_once(golden):
     run_golden_dialogue(golden)
-    before = golden.log.rule_numbers()
+    before = rule_numbers(golden.log.lines)
     golden._apply_rules()
-    assert golden.log.rule_numbers() == before
+    assert rule_numbers(golden.log.lines) == before
 
 
 def test_contributions_are_recorded_in_common_ground(golden):
@@ -163,7 +163,7 @@ def test_accepted_description_short_circuits_negotiation():
     assert settled is not None
     assert settled.args[1].args[3] == Const("fern1")
     # no negotiation goal is ever adopted, so rule 4 stays silent
-    assert ms.log.rule_numbers() == [1, 3, 10, 1, 2, 7]
+    assert rule_numbers(ms.log.lines) == [1, 3, 10, 1, 2, 7]
 
 
 def test_unfixable_description_stalls_after_the_rejection():
@@ -187,7 +187,7 @@ def test_unfixable_description_stalls_after_the_rejection():
     assert first.startswith("s-reject(")
     assert "category(X, creature)" in first
     assert ms.resolution() is None
-    assert ms.log.rule_numbers() == [1, 3, 4, 8, 1, 2, 5]
+    assert rule_numbers(ms.log.lines) == [1, 3, 4, 8, 1, 2, 5]
 
 
 def test_repair_proposes_no_modifier_the_plan_already_has():
@@ -226,5 +226,5 @@ def test_event_log_extracts_rule_numbers():
     log.add("rule 4 enter-collaboration plan=p1 goal=g")
     log.add("belief + common_ground something")
     log.add("rule 10 adopt-accept-goal detail")
-    assert log.rule_numbers() == [4, 10]
+    assert rule_numbers(log.lines) == [4, 10]
     assert "turn 1 user" in log.text()

@@ -471,3 +471,56 @@ def test_random_dichotomy_worlds_agree_with_enumeration(rng):
             assert result.kind is Verdict.ERROR_AT, (world, category, pred, value)
             erred += 1
     assert understood > 10 and erred > 10
+
+
+# -- recognition skips spans too short to derive ---------------------------
+
+def description_lines(rng):
+    """A referring act sequence, mostly well formed: entity1 with a head
+    noun and modifiers, sometimes related to entity2, sometimes garbled."""
+    lines = ["s-refer(entity1)", "s-attrib(entity1, lambda(X, category(X, creature)))"]
+    lines += rng.sample(["s-attrib(entity1, lambda(X, colour(X, red)))",
+                         "s-attrib(entity1, lambda(X, size(X, big)))"], rng.randint(0, 2))
+    if rng.random() < 0.5:
+        lines += ["s-attrib-rel(entity1, entity2, lambda(X, Y, on(X, Y)))", "s-refer(entity2)",
+                  "s-attrib(entity2, lambda(X, category(X, television)))"]
+        lines += ["s-attrib(entity2, lambda(X, colour(X, red)))"] * rng.randint(0, 1)
+    garble = rng.random()
+    if garble < 0.2:
+        rng.shuffle(lines)
+    elif garble < 0.4:
+        del lines[rng.randrange(len(lines))]
+    elif garble < 0.5:
+        lines.append(rng.choice(["s-accept(p1)", "s-refer(entity3)"]))
+    return lines
+
+
+def parse_signatures(ctx, root, acts):
+    return [planner._parse_signature(tmp, s) for tmp, s in planner._parse_with_root(root, acts, ctx)]
+
+
+def test_recognition_skips_only_splits_that_derive_nothing(monkeypatch):
+    rng = random.Random(5150)
+    ctx = small_ctx()
+    roots = [sc.name for sc in ctx.library.effect_schemas()]
+    reader = TermReader(ctx.names)
+    cases = [[reader.read(line) for line in description_lines(rng)] for _ in range(40)]
+    cases.append([reader.read("s-reject(p1, [s-refer(entity1)])")])
+
+    calls = 0
+    real_instantiate = planner.ActionSchema.instantiate
+
+    def counting(self, names):
+        nonlocal calls
+        calls += 1
+        return real_instantiate(self, names)
+
+    monkeypatch.setattr(planner.ActionSchema, "instantiate", counting)
+    pruned = [[parse_signatures(ctx, root, acts) for root in roots] for acts in cases]
+    pruned_calls, calls = calls, 0
+    least = ctx.library.least_from
+    monkeypatch.setattr(ctx.library, "least_from", {n: (0,) * len(ys) for n, ys in least.items()})
+    full = [[parse_signatures(ctx, root, acts) for root in roots] for acts in cases]
+    assert pruned == full
+    assert sum(len(p) for by_root in pruned for p in by_root) >= 15
+    assert pruned_calls * 2 < calls

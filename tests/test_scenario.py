@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from collabref import NameSource, ScenarioError, load_scenario, run_text
@@ -9,7 +11,7 @@ from collabref.cli import main
 from collabref.scenario import run_scenario
 from collabref.terms import MAX_TERM_DEPTH
 
-from conftest import SCENARIO_DIR
+from conftest import DATA_DIR, SCENARIO_DIR
 
 SIMPLE = """\
 objects: fern1 tv1
@@ -255,6 +257,54 @@ def test_resolution_survives_a_later_misunderstanding():
 def test_bundled_scenario_passes(path):
     tr = run_text(path.read_text())
     assert tr.ok, tr.text()
+
+
+# -- ids and names the transcript must not depend on -----------------------
+
+PUBLIC_ID = re.compile(r"\b[pn]\d+\b")
+
+
+def test_extra_variables_minted_before_the_run_leave_the_transcript_alone():
+    names = NameSource()
+    sc = load_scenario((SCENARIO_DIR / "weird_creature.scn").read_text(), names)
+    for _ in range(1000):
+        names.fresh_var()
+    assert run_scenario(sc, names).text() == (DATA_DIR / "weird_creature_events.txt").read_text()
+
+
+def test_regenerated_transcript_renumbers_only_plan_and_node_ids():
+    # the transcript as it was when one counter numbered variables, plans
+    # and nodes alike
+    old = (DATA_DIR / "weird_creature_events_shared_counter.txt").read_text()
+    new = (DATA_DIR / "weird_creature_events.txt").read_text()
+    old_ids, new_ids = PUBLIC_ID.findall(old), PUBLIC_ID.findall(new)
+    assert len(old_ids) == len(new_ids) > 0
+    renumber: dict[str, str] = {}
+    for was, now in zip(old_ids, new_ids):
+        assert was[0] == now[0]
+        assert renumber.setdefault(was, now) == now
+    assert len(set(renumber.values())) == len(renumber)
+    assert PUBLIC_ID.sub(lambda m: renumber[m.group()], old) == new
+
+
+def rename_words(text: str, mapping: dict[str, str]) -> str:
+    pattern = re.compile(r"\b(" + "|".join(map(re.escape, mapping)) + r")\b")
+    return pattern.sub(lambda m: mapping[m.group()], text)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.stem)
+def test_renaming_the_objects_renames_the_transcript(path):
+    text = path.read_text()
+    objects = load(text).objects
+    # the new names sort in the reverse order of the old ones
+    ranked = sorted(objects)
+    renamed = {old: f"item{len(ranked) - i}" for i, old in enumerate(ranked)}
+    assert not any(re.search(rf"\b{new}\b", text) for new in renamed.values())
+    before = run_text(text)
+    after = run_text(rename_words(text, renamed))
+    assert after.ok == before.ok
+    back = {new: old for old, new in renamed.items()}
+    assert rename_words(after.text(), back) == before.text()
 
 
 # -- command line ----------------------------------------------------------

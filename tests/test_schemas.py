@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from collabref import NameSource, PlanError, build_library
-from collabref.schemas import SchemaLibrary, StepKind, _parse_library, _template, check_primitive_act
-from collabref.terms import Compound, Lam, TermReader, read_term, variables_of, visit
+from collabref.schemas import SchemaLibrary, StepKind, _library, _parse_library, check_primitive_act
+from collabref.terms import Compound, Lam, TermReader, Var, canon, read_term, variables_of, visit
 
 
 def test_library_holds_the_expected_schemas(names):
@@ -127,37 +127,36 @@ def test_duplicate_schema_names_rejected(names):
         SchemaLibrary([a, a])
 
 
-# -- the library template ----------------------------------------------------
+# -- the shared library -----------------------------------------------------
 
-def _lambda_params(lib):
-    found = []
+def _terms(sc):
+    return [sc.head] + [st.term for st in sc.steps] + ([sc.effect] if sc.effect else [])
+
+
+def _uids(sc):
+    """Every variable uid in a schema, lambda parameters included."""
+    out = set()
 
     def note(x, _bound):
         if isinstance(x, Lam):
-            found.extend(x.params)
+            out.update(p.uid for p in x.params)
+        elif isinstance(x, Var):
+            out.add(x.uid)
 
-    for sc in lib.by_name.values():
-        for t in [sc.head, sc.effect] + [st.term for st in sc.steps]:
-            if t is not None:
-                visit(t, note)
-    return found
+    for t in _terms(sc):
+        visit(t, note)
+    return out
 
 
-@pytest.mark.parametrize("start", [1, 2, 88, 1000])
-def test_library_copy_equals_a_fresh_parse(start):
-    build_library(NameSource())  # the template exists from here on
-    copied, parsed = NameSource(start), NameSource(start)
-    lib = build_library(copied)
-    direct = SchemaLibrary(_parse_library(parsed))
-    assert lib.order == direct.order
-    assert lib.by_name == direct.by_name  # Var uids and names included
-    assert _lambda_params(lib) == _lambda_params(direct)
-    assert _lambda_params(lib)
-    assert copied.next_id() == parsed.next_id()
+def test_build_library_returns_one_shared_library(names):
+    lib = build_library(names)
+    assert build_library(names) is lib
+    assert build_library(NameSource(50)) is lib
+    assert lib.get("refer").instantiate(names) is not lib.get("refer")
 
 
 def test_library_text_is_read_once_per_process(monkeypatch):
-    _template.cache_clear()
+    _library.cache_clear()
     reads = []
     real = TermReader.read
     monkeypatch.setattr(TermReader, "read", lambda self, text: reads.append(text) or real(self, text))
@@ -168,15 +167,44 @@ def test_library_text_is_read_once_per_process(monkeypatch):
     assert len(reads) == 85
 
 
-def test_libraries_from_one_name_source_share_no_variable(names):
-    def uids(lib):
-        out = {p.uid for p in _lambda_params(lib)}
-        for sc in lib.by_name.values():
-            for t in [sc.head, sc.effect] + [st.term for st in sc.steps]:
-                if t is not None:
-                    out.update(v.uid for v in variables_of(t))
-        return out
+def test_template_uids_are_never_minted(names):
+    lib = build_library(names)
+    template = set().union(*(_uids(sc) for sc in lib.by_name.values()))
+    assert template and all(uid < 0 for uid in template)
+    minted = {names.fresh_var().uid for _ in range(1000)}
+    minted.add(NameSource().fresh_var().uid)
+    for sc in lib.by_name.values():
+        minted.update(v.uid for v in sc.instantiate(names).variables)
+    assert template.isdisjoint(minted)
 
-    first, second = uids(build_library(names)), uids(build_library(names))
-    assert first and second
-    assert first.isdisjoint(second)
+
+@pytest.mark.parametrize("start", [1, 2, 88, 1000])
+def test_library_copy_equals_a_fresh_parse(start):
+    # the copy is the instance a state makes of each shared schema; it has
+    # its own variables, so it equals a direct parse up to renaming
+    lib = build_library(NameSource())
+    direct = SchemaLibrary(_parse_library(NameSource(start)))
+    assert lib.order == direct.order
+    names = NameSource(start)
+    for name in lib.order:
+        inst, parsed = lib.get(name).instantiate(names), direct.get(name)
+        assert [st.kind for st in inst.steps] == [st.kind for st in parsed.steps]
+        assert (inst.abstract, inst.specializes) == (parsed.abstract, parsed.specializes)
+        # the same terms up to renaming, sharing included
+        assert canon(Compound("$", tuple(_terms(inst)))) == canon(Compound("$", tuple(_terms(parsed))))
+        assert list(inst.variables) == variables_of(Compound("$", tuple(_terms(inst))))
+        assert all(v.uid >= start for v in inst.variables)
+
+
+def test_least_yields_count_the_cheapest_derivation(names):
+    least = build_library(names).least_from
+    first = {name: ys[0] for name, ys in least.items()}
+    assert first["refer"] == 2  # s-refer plus a head noun
+    assert first["describe"] == first["headnoun"] == 1
+    assert first["modifiers"] == first["modifiers-terminate"] == 0
+    assert first["modifier"] == first["modifier-absolute"] == 1
+    assert first["modifier-relative"] == 3  # s-attrib-rel plus a nested refer
+    assert first["modifiers-recurse"] == 1
+    assert first["accept-plan"] == first["replace-plan"] == 1
+    # speaker, hearer, knowref, s-refer, describe, and the end
+    assert least["refer"] == (2, 2, 2, 2, 1, 0)

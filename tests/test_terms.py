@@ -70,8 +70,15 @@ def ground_under(t, env: dict[int, Const]):
 
 
 def robinson_unify(p, q):
-    """Reference unifier: eager substitution over an equation stack."""
+    """Reference unifier: eager substitution over an equation stack.
+
+    Two lambdas of one arity are equal when their bodies are, once the
+    parameters of both are replaced by the same new constants; no variable
+    may end up bound to a term holding one of those constants. Lambda
+    parameters must not occur outside the lambdas that bind them.
+    """
     env: dict[int, object] = {}
+    rigid: list[Const] = []
 
     def apply(t):
         while isinstance(t, Var) and t.uid in env:
@@ -80,17 +87,15 @@ def robinson_unify(p, q):
             return Compound(t.functor, tuple(apply(a) for a in t.args))
         if isinstance(t, ListTerm):
             return ListTerm(tuple(apply(i) for i in t.items))
+        if isinstance(t, Lam):
+            return Lam(t.params, apply(t.body))
         return t
 
-    def occurs(uid: int, t) -> bool:
-        t = apply(t)
-        if isinstance(t, Var):
-            return t.uid == uid
-        if isinstance(t, Compound):
-            return any(occurs(uid, a) for a in t.args)
-        if isinstance(t, ListTerm):
-            return any(occurs(uid, i) for i in t.items)
-        return False
+    def subterms(t):
+        yield t
+        parts = t.args if isinstance(t, Compound) else t.items if isinstance(t, ListTerm) else ()
+        for part in (t.body,) if isinstance(t, Lam) else parts:
+            yield from subterms(part)
 
     eqs = [(p, q)]
     while eqs:
@@ -98,15 +103,11 @@ def robinson_unify(p, q):
         a, b = apply(a), apply(b)
         if a == b:
             continue
-        if isinstance(a, Var):
-            if occurs(a.uid, b):
+        if isinstance(a, Var) or isinstance(b, Var):
+            var, other = (a, b) if isinstance(a, Var) else (b, a)
+            if any(isinstance(x, Var) and x.uid == var.uid for x in subterms(other)):
                 return None
-            env[a.uid] = b
-            continue
-        if isinstance(b, Var):
-            if occurs(b.uid, a):
-                return None
-            env[b.uid] = a
+            env[var.uid] = other
             continue
         if (
             isinstance(a, Compound)
@@ -119,7 +120,18 @@ def robinson_unify(p, q):
         if isinstance(a, ListTerm) and isinstance(b, ListTerm) and len(a.items) == len(b.items):
             eqs.extend(zip(a.items, b.items))
             continue
+        if isinstance(a, Lam) and isinstance(b, Lam) and len(a.params) == len(b.params):
+            new = [Const(f"#{len(rigid) + i}") for i in range(len(a.params))]
+            rigid.extend(new)
+            eqs.append((
+                substitute_free(a.body, {x.uid: c for x, c in zip(a.params, new)}),
+                substitute_free(b.body, {x.uid: c for x, c in zip(b.params, new)}),
+            ))
+            continue
         return None
+    for value in env.values():
+        if any(x in rigid for x in subterms(apply(value))):
+            return None
     return apply
 
 
@@ -143,6 +155,88 @@ def test_unify_agrees_with_reference_unifier():
         else:
             agreements_no += 1
     assert agreements_yes > 40 and agreements_no > 40
+
+
+# Free variables and lambda parameters come from separate pools, and a
+# parameter occurs only inside a lambda that binds it, as in the engine.
+_OPEN = NameSource(500)
+FREE_VARS = [_OPEN.fresh_var(n) for n in ("A", "B", "C")]
+PARAM_VARS = [_OPEN.fresh_var(n) for n in ("X", "Y")]
+
+
+@st.composite
+def open_terms(draw, scope=(), depth=0):
+    """Terms over constants, free variables and the parameters in scope,
+    with one- and two-parameter lambdas; an inner lambda may rebind an
+    outer one's parameter."""
+    if depth == 3 or draw(st.booleans()):
+        return draw(st.sampled_from(UNIVERSE[:2] + FREE_VARS + list(scope)))
+    kind = draw(st.sampled_from(["f", "g", "list", "lambda", "lambda"]))
+    if kind == "lambda":
+        params = tuple(draw(st.permutations(PARAM_VARS)))[: draw(st.integers(1, 2))]
+        inner = scope + tuple(x for x in params if x not in scope)
+        return Lam(params, draw(open_terms(inner, depth + 1)))
+    parts = draw(st.lists(open_terms(scope, depth + 1), min_size=int(kind != "list"), max_size=2))
+    return ListTerm(tuple(parts)) if kind == "list" else Compound(kind, tuple(parts))
+
+
+@st.composite
+def unify_pairs(draw):
+    """An independent pair, or a term and a generalisation of it (some
+    subterms, parameter occurrences among them, replaced by free
+    variables), the second with its parameters swapped or not."""
+    p = draw(open_terms())
+    if draw(st.booleans()):
+        return p, draw(open_terms())
+
+    def generalise(t):
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from(FREE_VARS))
+        if isinstance(t, Compound):
+            return Compound(t.functor, tuple(generalise(a) for a in t.args))
+        if isinstance(t, ListTerm):
+            return ListTerm(tuple(generalise(i) for i in t.items))
+        if isinstance(t, Lam):
+            return Lam(t.params, generalise(t.body))
+        return t
+
+    q = generalise(p)
+    if draw(st.booleans()):
+        # swap X and Y: binders too (an alpha-variant), or only occurrences
+        x, y = PARAM_VARS
+        swapped = rename(q, {x.uid: y, y.uid: x, **{v.uid: v for v in FREE_VARS}}, draw(st.booleans()))
+        if scoped(swapped):
+            q = swapped
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+def scoped(t, scope=frozenset()):
+    """Whether every parameter occurs only inside a lambda binding it."""
+    if isinstance(t, Var):
+        return t not in PARAM_VARS or t.uid in scope
+    if isinstance(t, Lam):
+        return scoped(t.body, scope | {p.uid for p in t.params})
+    parts = t.args if isinstance(t, Compound) else t.items if isinstance(t, ListTerm) else ()
+    return all(scoped(part, scope) for part in parts)
+
+
+def _nested(inner_body):
+    x, y = PARAM_VARS
+    return Lam((x,), mk("f", Lam((y,), inner_body(x, y))))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(unify_pairs())
+@example((_nested(lambda x, y: mk("g", x, y)), _nested(lambda x, y: mk("g", y, x))))
+@example((_nested(lambda x, y: mk("g", x, FREE_VARS[0])), _nested(lambda x, y: mk("g", FREE_VARS[0], y))))
+def test_unify_agrees_with_the_reference_on_terms_with_lambdas(pair):
+    p, q = pair
+    reference = robinson_unify(p, q)
+    s = unify(p, q)
+    assert (s is None) == (reference is None), f"{format_term(p)} vs {format_term(q)}"
+    if s is not None:
+        # equal up to renaming, lambda parameters included
+        assert canon(s.resolve(p)) == canon(s.resolve(q)) == canon(reference(p))
 
 
 def test_unify_finds_every_ground_common_instance():
