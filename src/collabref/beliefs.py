@@ -18,7 +18,9 @@ first-argument indexing does; it files its non-ground compounds under
 argument, takes the most specific key that fits, and unifies the ground
 propositions filed there as they are and the non-ground ones of the same
 functor and arity renamed apart, so callers never capture store
-variables; the candidates are merged back into insertion order.
+variables; the candidates are merged back into insertion order. A
+retraction likewise tries only the propositions under its pattern's key,
+and drops the removed ones from the lists they are filed in.
 
 Renaming mints variables only, and variables have their own stream in a
 NameSource, so how many propositions a query renames moves no plan or
@@ -34,11 +36,11 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import QueryError
 from .terms import (
+    EMPTY,
     Compound,
     Const,
     Lam,
@@ -48,7 +50,7 @@ from .terms import (
     Term,
     Var,
     canon,
-    is_ground,
+    canon_ground,
     mk,
     rename_apart,
     unify,
@@ -80,15 +82,13 @@ Entry = tuple[int, Term, bool]
 class _Store:
     """One bucket: its propositions in insertion order, plus their index."""
 
-    def __init__(self, entries: Iterable[Entry] = ()):
+    def __init__(self) -> None:
         self.entries: list[Entry] = []
         self.keys: set[str] = set()
         self.functors: set[str] = set()
         self.ground: dict[tuple, list[Entry]] = {}
         self.nonground: dict[tuple, list[Entry]] = {}
         self.loose: list[Entry] = []  # non-ground and not a compound
-        for entry in entries:
-            self.add(entry, canon(entry[1]))
 
     def add(self, entry: Entry, key: str) -> None:
         _, prop, ground = entry
@@ -106,6 +106,23 @@ class _Store:
         self.ground.setdefault(top, []).append(entry)
         if prop.args and isinstance(prop.args[0], Const):
             self.ground.setdefault(top + (prop.args[0].name,), []).append(entry)
+
+    def remove(self, gone: list[Entry]) -> None:
+        """Drop these entries. Only the index lists of their functors are
+        filtered, and no kept proposition is keyed again."""
+        seqs = {seq for seq, _, _ in gone}
+        tops = {(p.functor, len(p.args)) for _, p, _ in gone if isinstance(p, Compound)}
+        self.keys.difference_update(canon(p) for _, p, _ in gone)
+        self.entries = [e for e in self.entries if e[0] not in seqs]
+        self.loose = [e for e in self.loose if e[0] not in seqs]
+        for index in (self.ground, self.nonground):
+            for key in [k for k in index if k[:2] in tops]:
+                kept = [e for e in index[key] if e[0] not in seqs]
+                if kept:
+                    index[key] = kept
+                else:
+                    del index[key]
+        self.functors = {k[0] for k in self.ground} | {k[0] for k in self.nonground}
 
     def candidates(self, key: tuple | None):
         """Every entry that could unify with a pattern of this key, in order.
@@ -159,27 +176,28 @@ class BeliefBase:
         """Add a proposition; returns False if an alpha-equal one is present."""
         if s is not None:
             prop = s.resolve(prop)
-        key = canon(prop)
+        key, ground = canon_ground(prop)
         store = self._stores[bucket]
         if key in store.keys:
             return False
-        store.add((next(self._seq), prop, is_ground(prop)), key)
+        store.add((next(self._seq), prop, ground), key)
         return True
+
+    def holds(self, bucket: Bucket, prop: Term) -> bool:
+        """Whether the bucket holds a proposition alpha-equal to prop."""
+        return canon(prop) in self._stores[bucket].keys
 
     def retract_matching(self, bucket: Bucket, pattern: Term) -> list[Term]:
         """Remove every proposition unifying with pattern; returns removals."""
-        kept: list[Entry] = []
-        removed: list[Term] = []
-        for entry in self._stores[bucket].entries:
-            _, item, ground = entry
-            fresh = item if ground else rename_apart(item, self.names)
-            if unify(pattern, fresh) is not None:
-                removed.append(item)
-            else:
-                kept.append(entry)
-        if removed:
-            self._stores[bucket] = _Store(kept)
-        return removed
+        store = self._stores[bucket]
+        gone = [
+            entry for entry in store.candidates(_key(pattern, EMPTY))
+            if unify(pattern, entry[1] if entry[2] else rename_apart(entry[1], self.names))
+            is not None
+        ]
+        if gone:
+            store.remove(gone)
+        return [item for _, item, _ in gone]
 
     # -- queries ------------------------------------------------------------
 

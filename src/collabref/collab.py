@@ -309,8 +309,7 @@ class MentalState:
             agent, pid, goal = prop.args
             if not (isinstance(goal, Compound) and goal.functor == "knowref" and isinstance(pid, Const)):
                 continue
-            goal_prop_key = canon(mk("goal", agent, goal))
-            if not any(canon(q) == goal_prop_key for q in self._cg()):
+            if not self.base.holds(Bucket.COMMON_GROUND, mk("goal", agent, goal)):
                 continue
             doubt = mk(
                 "bel", SYSTEM,

@@ -15,7 +15,11 @@ Three entry points share one constraint solver:
 
 The solver knows the handful of non-query constraint forms: equality,
 negation as failure, candidate-set filtering, referent choice, plan yield
-and content lookups, node substitution, and replanning. Replanning is the
+and content lookups, node substitution, and replanning. Candidate-set
+filtering (`subset`) asks its test once, for a fresh variable, and keeps
+the members some answer admits, so a filter costs one belief query
+however many candidates it reads. Construction copies only the schemas
+whose shared template effect unifies with the goal. Replanning is the
 two-faced one: with its act list unbound it completes the plan and emits
 acts (generation); with acts given it derives them instead (recognition),
 and its judgment of the repaired plan is kept for the dialogue layer.
@@ -51,6 +55,7 @@ from .terms import (
     Var,
     apply_lambda,
     canon,
+    canon_ground,
     format_term,
     unify,
     visit,
@@ -170,11 +175,7 @@ def solve(
             raise PlanError(f"subset needs a list, got {format_term(items)}")
         if not isinstance(test, Lam) or len(test.params) != 1:
             raise PlanError("subset needs a one-place test")
-        keep: list[Term] = []
-        for member in items.items:
-            goal = apply_lambda(test, (member,))
-            if ctx.base.query(s.resolve(goal), ctx.persp, s):
-                keep.append(member)
+        keep = _admitted(items.items, test, s, ctx) if items.items else []
         if not keep:
             return Outcome.SOLS, []
         s2 = unify(out, ListTerm(tuple(keep)), s)
@@ -255,6 +256,41 @@ def solve(
         return Outcome.SOLS, _solve_replan(t, s, ctx, clarifying)
 
     raise PlanError(f"no solver for constraint {f}/{len(t.args)}")
+
+
+def _admitted(
+    members: tuple[Term, ...], test: Lam, s: Substitution, ctx: PlannerContext
+) -> list[Term]:
+    """The members m for which test(m) has a solution, in order, with
+    duplicates, from one belief query.
+
+    The query asks test(V) for a fresh variable V. Then test(m) has a
+    solution iff some answer lets V unify with m: {P = F, V = m} has the
+    same solutions whichever equation is solved first. That holds where
+    the test's parameter only fills slots of the fact it looks up, not a
+    place that decides how the query is answered (an agent, or the whole
+    proposition), as in every `subset` of the schema library. A ground
+    member is looked up among the ground answers by `canon` key, which
+    agree exactly when ground terms unify; any other pair is unified.
+    """
+    v = ctx.names.fresh_var("X")
+    answers = ctx.base.query(s.resolve(apply_lambda(test, (v,))), ctx.persp, s)
+    ground: set[str] = set()
+    rest: list[Substitution] = []
+    for a in answers:
+        key, is_ground = canon_ground(a.resolve(v))
+        if is_ground:
+            ground.add(key)
+        else:
+            rest.append(a)
+    keep: list[Term] = []
+    for member in members:
+        key, is_ground = canon_ground(member)
+        if is_ground and key in ground:
+            keep.append(member)
+        elif any(unify(v, member, a) is not None for a in (rest if is_ground else answers)):
+            keep.append(member)
+    return keep
 
 
 def _pick_ordered(members: tuple[Term, ...], pick_order: list[str]) -> list[Term]:
@@ -870,10 +906,13 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
     search = _Search(ctx)
     pushed = False
     for schema in ctx.library.effect_schemas():
+        # the shared template's variables have uids below zero, so trying
+        # its effect first captures nothing and copies no schema in vain
+        if unify(schema.effect, goal) is None:
+            continue
         instance = schema.instantiate(ctx.names)
         s0 = unify(instance.effect, goal)
-        if s0 is None:
-            continue
+        assert s0 is not None
         root = ctx.names.node_name().name
         state = _BuildState(
             nodes={root: NodeRecord(root, schema.name, instance.head, (), False, False)},

@@ -13,12 +13,20 @@ Term walks go through `map_term`, which rebuilds a term leaf by leaf, or
 `visit`, which calls a function on every subterm in pre-order; both pass
 along the parameters of the enclosing lambdas. Only the hot `resolve`,
 `unify` and occurs check, and `canon` and `format_term`, which build
-their own syntax, keep their own recursion.
+their own syntax, keep their own recursion. `canon_ground` gives a term's
+`canon` key and whether it is ground from that one walk, since the walk
+numbers the free variables anyway.
+
+The reader tokenizes with one compiled regular expression, which gives
+the tokens, and the first bad character, that a character-by-character
+scan with `str.isalnum` and `str.isspace` would: `\\w` is exactly
+`isalnum()` or `_` and `\\s` is exactly `isspace()`.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -354,28 +362,35 @@ def canon(t: Term, s: Substitution | None = None) -> str:
     """
     if s is not None:
         t = s.resolve(t)
+    return _canon(t, {}, 0, {})
+
+
+def canon_ground(t: Term) -> tuple[str, bool]:
+    """canon(t), and whether t is ground, from the one walk: the walk
+    numbers t's free variables, so t is ground iff it numbered none."""
     numbering: dict[int, int] = {}
+    return _canon(t, {}, 0, numbering), not numbering
 
-    def go(x: Term, bound: dict[int, str], depth: int = 0) -> str:
-        if isinstance(x, Var):
-            if x.uid in bound:
-                return bound[x.uid]
-            if x.uid not in numbering:
-                numbering[x.uid] = len(numbering)
-            return f"?{numbering[x.uid]}"
-        if isinstance(x, Const):
-            return x.name
-        if isinstance(x, ListTerm):
-            return "[" + ",".join(go(i, bound, depth) for i in x.items) + "]"
-        if isinstance(x, Lam):
-            inner = dict(bound)
-            level = f"{depth}:" if depth else ""
-            for n, p in enumerate(x.params):
-                inner[p.uid] = f"%{level}{n}"
-            return f"\\{len(x.params)}.{go(x.body, inner, depth + 1)}"
-        return x.functor + "(" + ",".join(go(a, bound, depth) for a in x.args) + ")"
 
-    return go(t, {})
+def _canon(x: Term, bound: dict[int, str], depth: int, numbering: dict[int, int]) -> str:
+    kind = type(x)
+    if kind is Const:
+        return x.name
+    if kind is Var:
+        if x.uid in bound:
+            return bound[x.uid]
+        if x.uid not in numbering:
+            numbering[x.uid] = len(numbering)
+        return f"?{numbering[x.uid]}"
+    if kind is Compound:
+        return x.functor + "(" + ",".join([_canon(a, bound, depth, numbering) for a in x.args]) + ")"
+    if kind is ListTerm:
+        return "[" + ",".join([_canon(i, bound, depth, numbering) for i in x.items]) + "]"
+    inner = dict(bound)
+    level = f"{depth}:" if depth else ""
+    for n, p in enumerate(x.params):
+        inner[p.uid] = f"%{level}{n}"
+    return f"\\{len(x.params)}.{_canon(x.body, inner, depth + 1, numbering)}"
 
 
 def is_ground(t: Term) -> bool:
@@ -517,31 +532,16 @@ class TermReader:
         return Lam(tuple(params), args[-1])  # type: ignore[arg-type]
 
 
+# a word, whose hyphens only join word characters (s-refer); a punctuation
+# mark; or any other non-space character, which `_tokenize` rejects
+_TOKEN = re.compile(r"\w+(?:-+\w+)*|[()\[\],=]|\S")
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()[],=":
-            tokens.append(c)
-            i += 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            # a hyphen only joins when both sides are word chars (s-refer),
-            # so trim any trailing hyphen back off
-            while text[j - 1] == "-":
-                j -= 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise TermSyntaxError(f"bad character {c!r} in {text!r}")
+    tokens = _TOKEN.findall(text)
+    for tok in tokens:
+        if len(tok) == 1 and tok not in "()[],=" and not (tok.isalnum() or tok == "_"):
+            raise TermSyntaxError(f"bad character {tok!r} in {text!r}")
     return tokens
 
 

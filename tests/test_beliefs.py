@@ -265,6 +265,52 @@ def test_retract_matching_removes_only_unifying_items():
     assert base.assert_prop(Bucket.PRIVATE, read_term("achieve(p1, g1)", names))
 
 
+def test_retract_matching_reads_only_the_patterns_key_and_rekeys_nothing(monkeypatch):
+    objects = [f"thing{i}" for i in range(1, 41)]
+    lines = [f"category({o}, creature)" for o in objects]
+    lines += [f"size({o}, {'small' if i % 2 else 'large'})" for i, o in enumerate(objects)]
+    lines += ["size(thing7, S)", "tint(thing7, red)"]
+    base, names = fresh_base(objects, ["size"])
+    load(base, names, Bucket.COMMON_GROUND, lines)
+    unified, keyed = [], []
+    real_unify, real_canon = beliefs.unify, beliefs.canon
+    monkeypatch.setattr(beliefs, "unify", lambda *a: unified.append(a) or real_unify(*a))
+    monkeypatch.setattr(beliefs, "canon", lambda *a: keyed.append(a) or real_canon(*a))
+
+    removed = base.retract_matching(Bucket.COMMON_GROUND, read_term("size(thing7, X)", names))
+    assert [canon(t) for t in removed] == [
+        canon(read_term("size(thing7, large)", names)), canon(read_term("size(thing7, S)", names)),
+    ]
+    assert len(unified) == 2  # the ground fact filed under thing7, and the open one
+    assert len(keyed) == len(removed)
+
+    # the store reads as one rebuilt from the kept facts
+    monkeypatch.undo()
+    kept = [line for line in lines if not line.startswith("size(thing7,")]
+    rebuilt, rnames = fresh_base(objects, ["size"])
+    load(rebuilt, rnames, Bucket.COMMON_GROUND, kept)
+    assert [canon(t) for t in base.items(Bucket.COMMON_GROUND)] == [
+        canon(t) for t in rebuilt.items(Bucket.COMMON_GROUND)
+    ]
+    for query in ("size(X, Y)", "size(thing7, Y)", "bmb(system, user, size(thing8, Y))", "tint(X, Y)"):
+        assert answers(base, names, query) == answers(rebuilt, rnames, query)
+    # once its last fact is gone, a functor no longer answers plain queries
+    base.retract_matching(Bucket.COMMON_GROUND, read_term("tint(X, Y)", names))
+    with pytest.raises(QueryError):
+        answers(base, names, "tint(X, Y)")
+    assert base.assert_prop(Bucket.COMMON_GROUND, read_term("size(thing7, large)", names))
+
+
+def test_holds_is_alpha_equal_membership():
+    base, names = fresh_base(["fern1"])
+    load(base, names, Bucket.COMMON_GROUND, ["goal(user, knowref(system, user, e1, Object))"])
+    assert base.holds(Bucket.COMMON_GROUND, read_term("goal(user, knowref(system, user, e1, O))", names))
+    assert not base.holds(Bucket.COMMON_GROUND, read_term("goal(user, knowref(system, user, e1, o))", names))
+    assert not base.holds(Bucket.PRIVATE, read_term("goal(user, knowref(system, user, e1, O))", names))
+    base.retract_matching(Bucket.COMMON_GROUND, read_term("goal(A, G)", names))
+    assert not base.holds(Bucket.COMMON_GROUND, read_term("goal(user, knowref(system, user, e1, O))", names))
+
+
 # -- the index against a plain scan -----------------------------------------
 
 _VARS = NameSource()

@@ -5,11 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collabref import (
+    Bucket,
     Const,
     NoPlanError,
+    NameSource,
     Perspective,
+    QueryError,
     Substitution,
     Verdict,
     construct,
@@ -24,7 +29,15 @@ from collabref.planner import (
     canonical_orders,
     solve,
 )
-from collabref.terms import ListTerm, TermReader, canon, format_term, read_term
+from collabref.terms import (
+    Lam,
+    ListTerm,
+    TermReader,
+    apply_lambda,
+    canon,
+    format_term,
+    read_term,
+)
 
 import worldgen
 from conftest import golden_state, make_state, opening_request
@@ -105,6 +118,97 @@ def test_subset_keeps_matching_members_in_order():
         names.fresh_var("Out2"),
     )
     kind, sols = solve(term2, Substitution(), ctx)
+    assert kind is Outcome.SOLS and sols == []
+
+
+# A store of ground, non-ground, bare-variable and lambda-valued facts over
+# three buckets, and subset tests of the forms the schemas use.
+_V = NameSource(1_000_000)  # far from the uids the engine mints
+A, B, C = (Const(n) for n in "abc")
+STORED_VARS = [_V.fresh_var(n) for n in ("S", "T")]
+MEMBER_VARS = [_V.fresh_var(n) for n in ("M", "N")]
+PARAM = _V.fresh_var("X")
+LAMBDA_VALUES = [Lam((PARAM,), mk("colour", PARAM, c)) for c in (A, B)]
+VALUES = st.sampled_from([A, B, mk("f", A), ListTerm((A, B)), *LAMBDA_VALUES])
+STORED = st.one_of(
+    st.builds(lambda f, x, v: mk(f, x, v), st.sampled_from(["colour", "size"]),
+              st.sampled_from([A, B, C, mk("f", A), *STORED_VARS]),
+              st.one_of(VALUES, st.sampled_from(STORED_VARS))),
+    st.sampled_from([STORED_VARS[0], mk("colour", STORED_VARS[0], STORED_VARS[0])]),
+)
+SUBSET_BUCKETS = st.sampled_from([Bucket.COMMON_GROUND, Bucket.PRIVATE, Bucket.USER_MODEL])
+MEMBERS = st.lists(
+    st.sampled_from([A, A, B, C, mk("f", A), ListTerm((A, B)), *LAMBDA_VALUES, *MEMBER_VARS]),
+    max_size=6,
+)
+
+
+def subset_test(form, functor, value):
+    """lambda(X, Form) for a query form around functor(X, value)."""
+    fact = mk(functor, PARAM, value)
+    if form == "bmb":
+        body = mk("bmb", SYSTEM, USER, fact)
+    elif form == "apply":  # the modifier schemas' shape: apply(Pred, X) inside bmb
+        body = mk("bmb", SYSTEM, USER, mk("apply", Lam((PARAM,), fact), PARAM))
+    elif form == "fact":
+        body = fact
+    else:
+        body = mk("bel", SYSTEM if form == "system" else USER, fact)
+    return Lam((PARAM,), body)
+
+
+TESTS = st.builds(
+    subset_test,
+    st.sampled_from(["bmb", "apply", "fact", "system", "user"]),
+    st.sampled_from(["colour", "size"]),
+    st.one_of(VALUES, st.sampled_from(MEMBER_VARS)),
+)
+
+
+def per_member_subset(ctx, members, test, s):
+    """Reference: one query per member, as the subset solver used to run."""
+    return [
+        m for m in members
+        if ctx.base.query(s.resolve(apply_lambda(test, (m,))), ctx.persp, s)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(SUBSET_BUCKETS, STORED), max_size=12), MEMBERS, TESTS,
+       st.one_of(st.none(), VALUES))
+@example([(Bucket.COMMON_GROUND, mk("colour", A, LAMBDA_VALUES[0]))],
+         [A, B, A, MEMBER_VARS[0]], subset_test("bmb", "colour", LAMBDA_VALUES[0]), None)
+@example([(Bucket.COMMON_GROUND, mk("colour", STORED_VARS[0], STORED_VARS[0]))],
+         [A, MEMBER_VARS[0]], subset_test("bmb", "colour", MEMBER_VARS[1]), A)
+def test_subset_agrees_with_one_query_per_member(stored, members, test, bound):
+    """One query for the open test keeps the members one query each would,
+    in order and with duplicates. `bound` optionally binds the first member
+    variable, which the test may also mention."""
+    ctx = small_ctx()
+    ctx.persp = Perspective("system", "user")
+    ctx.base.modifier_preds = ["colour", "size"]
+    for bucket, prop in stored:
+        ctx.base.assert_prop(bucket, prop)
+    s = Substitution() if bound is None else Substitution().bind(MEMBER_VARS[0], bound)
+    out = ctx.names.fresh_var("Out")
+    want = per_member_subset(ctx, [s.resolve(m) for m in members], test, s)
+    kind, sols = solve(mk("subset", ListTerm(tuple(members)), test, out), s, ctx)
+    assert kind is Outcome.SOLS
+    got = list(sols[0].resolve(out).items) if sols else []
+    assert got == want
+
+
+def test_subset_raises_the_same_query_error_and_skips_an_empty_list():
+    ctx = small_ctx()
+    test = read_term("lambda(X, nosuch(X))", ctx.names)
+    with pytest.raises(QueryError) as direct:
+        ctx.base.query(apply_lambda(test, (Const("fern1"),)), ctx.persp, Substitution())
+    with pytest.raises(QueryError) as solved:
+        solve(mk("subset", ListTerm((Const("fern1"),)), test, ctx.names.fresh_var("Out")),
+              Substitution(), ctx)
+    assert str(solved.value) == str(direct.value)
+    kind, sols = solve(mk("subset", ListTerm(()), test, ctx.names.fresh_var("Out")),
+                       Substitution(), ctx)
     assert kind is Outcome.SOLS and sols == []
 
 
@@ -393,6 +497,43 @@ def test_pruned_search_agrees_with_the_unpruned_one_on_random_worlds(monkeypatch
     )
 
 
+def with_unused_category(world, rng: random.Random):
+    """The world plus one to three objects, at random places in its object
+    order, of a category no object has, with random attribute values and
+    no relations."""
+    category = rng.choice([c for c in worldgen.CATEGORY_POOL if c not in world.categories.values()])
+    extra = [f"other{i + 1}" for i in range(rng.randint(1, 3))]
+    objects = list(world.objects)
+    for name in extra:
+        objects.insert(rng.randint(0, len(objects)), name)
+    attributes = {
+        pred: {**values, **{o: rng.choice(worldgen.ATTRIBUTE_POOL[pred]) for o in extra}}
+        for pred, values in world.attributes.items()
+    }
+    categories = {**world.categories, **{o: category for o in extra}}
+    return worldgen.World(objects, categories, attributes, world.relations)
+
+
+def test_objects_of_an_unused_category_change_no_description():
+    rng = random.Random(4242)
+    outcomes, new_values = [], 0
+    for i in range(60):
+        world = worldgen.random_world(rng, max_preds=1 + i % 2 * 3, max_rels=2)
+        bigger = with_unused_category(world, rng)
+        new_values += any(
+            set(values.values()) < set(bigger.attributes[pred].values())
+            for pred, values in world.attributes.items()
+        )
+        for target in world.objects:
+            said = describe_or_refuse(*world_case(world, target))
+            assert describe_or_refuse(*world_case(bigger, target)) == said, (world, bigger, target)
+            outcomes.append(said[0] == "refused")
+    # both outcomes occur, and added objects often bring a value nobody had
+    assert sum(outcomes) > 20 and len(outcomes) - sum(outcomes) > 50 and new_values > 10, (
+        sum(outcomes), len(outcomes), new_values,
+    )
+
+
 def test_an_object_with_a_superset_of_the_properties_is_inseparable():
     objects = ["a1", "a2"]
     facts = [
@@ -421,7 +562,8 @@ def test_twins_in_different_places_are_still_described():
         assert any(f"colour(X, {corner})" in a for a in said), said
 
 
-def test_refusing_a_twin_in_a_large_world_takes_few_solver_calls(monkeypatch):
+def twin_world():
+    """40 objects over four attributes, where thing2 is thing1's twin."""
     rng = random.Random(40)
     objects = [f"thing{i + 1}" for i in range(40)]
     categories = {o: rng.choice(["creature", "lamp"]) for o in objects}
@@ -435,18 +577,37 @@ def test_refusing_a_twin_in_a_large_world_takes_few_solver_calls(monkeypatch):
     world = worldgen.World(objects, categories, attributes)
     assert len(world.preds()) == 4
     assert worldgen.minimal_modifier_count(world, "thing1") is None
-    calls = 0
-    real_solve = planner.solve
+    return world
 
-    def counting_solve(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(planner, "solve", counting_solve)
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name from here on; returns a one-item list."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_refusing_a_twin_in_a_large_world_takes_few_solver_calls(monkeypatch):
+    world = twin_world()
+    calls = count_calls(monkeypatch, planner, "solve")
     refused = describe_or_refuse(*world_case(world, "thing1"))
     assert refused == ("refused", "no plan achieves the goal")
-    assert calls <= 20, calls
+    assert calls[0] <= 20, calls
+
+
+def test_refusing_a_twin_in_a_large_world_makes_few_belief_queries(monkeypatch):
+    # each subset filter is one query, however many candidates it reads
+    world = twin_world()
+    calls = count_calls(monkeypatch, BeliefBase, "query")
+    refused = describe_or_refuse(*world_case(world, "thing1"))
+    assert refused == ("refused", "no plan achieves the goal")
+    assert calls[0] <= 8, calls
 
 
 def test_random_dichotomy_worlds_agree_with_enumeration(rng):

@@ -35,7 +35,9 @@ from collabref import (
     unify,
 )
 from collabref.terms import (
+    _tokenize,
     apply_lambda,
+    canon_ground,
     is_ground,
     rename_apart,
     variables_of,
@@ -686,3 +688,65 @@ def test_resolve_returns_a_term_it_leaves_unchanged_itself(t, m):
     # parameters included; TERMS holds no apply
     s = Substitution({uid: v for uid, v in m.items() if uid not in all_uids(t)})
     assert s.resolve(t) is t
+
+
+# -- the one-walk key and the regex tokenizer --------------------------------
+
+@TERM_SETTINGS
+@given(st.one_of(TERMS, RESOLVE_TERMS))
+def test_canon_ground_is_canon_and_is_ground_in_one_walk(t):
+    assert canon_ground(t) == (canon(t), is_ground(t))
+
+
+def char_loop_tokenize(text):
+    """Reference: the character loop the term reader used to tokenize with."""
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()[],=":
+            tokens.append(c)
+            i += 1
+            continue
+        if c.isalnum() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_-"):
+                j += 1
+            while text[j - 1] == "-":  # a hyphen only joins word characters
+                j -= 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        raise TermSyntaxError(f"bad character {c!r} in {text!r}")
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except TermSyntaxError as err:
+        return str(err)
+
+
+# ASCII and other letters and digits (Arabic-Indic three, superscript two,
+# Roman numeral twelve), Unicode spaces, hyphens, punctuation, bad characters
+TOKEN_TEXT = st.lists(
+    st.sampled_from(
+        list("aZ_09-()[],= \t\n") + ["é", "ß", "Ω", "中", "٣", "²", "Ⅻ", "\u00a0", "\u2003",
+                                        "\u3000", "$", "'", ".", "·", "\u200b", "\u2010"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+@TERM_SETTINGS
+@given(TOKEN_TEXT)
+@example("s--refer- -x-")
+@example("f(s--refer, x-1)")
+@example("-a")
+@example("a- $")
+@example("f(é-ß, Ⅻ²)\u3000=\u00a0X")
+def test_regex_tokenizer_agrees_with_the_character_loop(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(char_loop_tokenize, text)
