@@ -158,7 +158,7 @@ class BeliefBase:
         modifier_preds: list[str] | None = None,
         modifier_rel_preds: list[str] | None = None,
     ):
-        self.objects = list(objects)
+        self.world = ListTerm(tuple(Const(o) for o in objects))
         self.names = names
         self.modifier_preds = list(modifier_preds or [])
         self.modifier_rel_preds = list(modifier_rel_preds or [])
@@ -210,8 +210,7 @@ class BeliefBase:
             if f == "hearer" and len(goal.args) == 1:
                 return _unit(unify(goal.args[0], Const(persp.hearer), s))
             if f == "world" and len(goal.args) == 1:
-                world = ListTerm(tuple(Const(o) for o in self.objects))
-                return _unit(unify(goal.args[0], world, s))
+                return _unit(unify(goal.args[0], self.world, s))
             if f == "bmb" and len(goal.args) == 3:
                 return self._query_bmb(goal, s)
             if f == "bel" and len(goal.args) == 2:
@@ -244,7 +243,7 @@ class BeliefBase:
                     out.extend(self._query_bel(who, prop, s2))
             return out
         if agent == SYSTEM:
-            inner = s.resolve(prop)
+            inner = s.walk(prop)
             if isinstance(inner, Compound) and inner.functor == "bel" and len(inner.args) == 2:
                 # introspection: bel(system, bel(system, P)) is bel(system, P)
                 who = s.walk(inner.args[0])
@@ -289,7 +288,7 @@ class BeliefBase:
         return _dedup(out, goal)
 
     def _query_modifier_pred(self, pred: Term, s: Substitution) -> list[Substitution]:
-        pred = s.resolve(pred)
+        pred = s.walk(pred)
         if isinstance(pred, Lam):
             body = pred.body
             ok = (
@@ -318,7 +317,7 @@ class BeliefBase:
         return out
 
     def _query_modifier_rel_pred(self, pred: Term, s: Substitution) -> list[Substitution]:
-        pred = s.resolve(pred)
+        pred = s.walk(pred)
         if isinstance(pred, Lam):
             body = pred.body
             ok = (

@@ -6,8 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import EngineError
-from .scenario import load_scenario, run_scenario
+from .errors import EngineError, ScenarioError
+from .scenario import Scenario, load_scenario, run_scenario
 from .terms import NameSource
 
 _BOOKKEEPING = ("belief ", "rule ", "inferred ", "contribution ", "cstate ", "construction ")
@@ -49,14 +49,22 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     names = NameSource()
-    scenario = load_scenario(args.scenario.read_text(), names)
+    scenario = _load(args.scenario, names)
     transcript = run_scenario(scenario, names)
     for line in transcript.lines:
         if args.trace or not line.startswith(_BOOKKEEPING):
             print(line)
     if args.transcript is not None:
-        args.transcript.write_text(transcript.text())
+        args.transcript.write_text(transcript.text(), encoding="utf-8")
     return 0 if transcript.ok else 1
+
+
+def _load(path: Path, names: NameSource) -> Scenario:
+    """Read a scenario file as UTF-8 and load it; a failure names the file."""
+    try:
+        return load_scenario(path.read_text(encoding="utf-8"), names)
+    except (OSError, UnicodeDecodeError, EngineError) as err:
+        raise ScenarioError(f"{path}: {err}") from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -67,7 +75,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failed = 0
     for path in paths:
         names = NameSource()
-        scenario = load_scenario(path.read_text(), names)
+        scenario = _load(path, names)
         transcript = run_scenario(scenario, names)
         ending = "resolved" if transcript.resolution is not None else "unresolved"
         status = "ok" if transcript.ok else "FAIL"

@@ -144,9 +144,9 @@ def solve(
 ) -> tuple[Outcome, list[Substitution]]:
     """Solutions of one constraint. In a clarification (clarifying), replanning
     against given acts only derives them and records its verdict on the plan."""
-    t = s.resolve(term)
-    if not isinstance(t, Compound):
-        raise PlanError(f"cannot solve non-compound constraint {t!r}")
+    t = s.walk(term)
+    if type(t) is not Compound:
+        raise PlanError(f"cannot solve non-compound constraint {s.resolve(t)!r}")
     f = t.functor
 
     if f in QUERY_FORMS:
@@ -167,8 +167,7 @@ def solve(
         return Outcome.SOLS, [s]
 
     if f == "subset" and len(t.args) == 3:
-        items, test, out = t.args
-        items = s.resolve(items)
+        items, test, out = s.resolve(t.args[0]), s.walk(t.args[1]), t.args[2]
         if isinstance(items, Var):
             return Outcome.DEFER, []
         if not isinstance(items, ListTerm):
@@ -274,7 +273,7 @@ def _admitted(
     agree exactly when ground terms unify; any other pair is unified.
     """
     v = ctx.names.fresh_var("X")
-    answers = ctx.base.query(s.resolve(apply_lambda(test, (v,))), ctx.persp, s)
+    answers = ctx.base.query(apply_lambda(test, (v,)), ctx.persp, s)
     ground: set[str] = set()
     rest: list[Substitution] = []
     for a in answers:
@@ -754,8 +753,8 @@ class _Search:
 
     def _expand(self, state: _BuildState, name: str) -> None:
         rec = state.nodes[name]
-        content = state.s.resolve(rec.content)
-        if not isinstance(content, Compound):
+        content = state.s.walk(rec.content)
+        if type(content) is not Compound:
             return
         if content.functor == "refer" and state.depths.get(name, 0) > MAX_REFER_DEPTH:
             return
@@ -792,7 +791,7 @@ class _Search:
                     st.nodes[child] = NodeRecord(
                         child, "?", step.term, (), False, False
                     )
-                    step_term = state.s.resolve(step.term)
+                    step_term = state.s.walk(step.term)
                     bump = 1 if (
                         isinstance(step_term, Compound) and step_term.functor == "refer"
                     ) else 0
@@ -804,8 +803,8 @@ class _Search:
             self.push(st)
 
     def _prove(self, state: _BuildState, owner: str, term: Term) -> None:
-        t = state.s.resolve(term)
-        if not isinstance(t, Compound):
+        t = state.s.walk(term)
+        if type(t) is not Compound:
             return
         try:
             kind, sols = solve(t, state.s, self.ctx)
@@ -846,8 +845,8 @@ class _Search:
         return False
 
     def _shrinks(self, t: Compound, s: Substitution) -> bool:
-        before = s.resolve(t.args[0])
-        after = s.resolve(t.args[2])
+        before = s.walk(t.args[0])
+        after = s.walk(t.args[2])
         return (
             isinstance(before, ListTerm)
             and isinstance(after, ListTerm)

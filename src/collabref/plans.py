@@ -122,7 +122,7 @@ def unify_bridged(
     s2 = unify(a, b, s)
     if s2 is not None:
         return s2
-    ra, rb = s.resolve(a), s.resolve(b)
+    ra, rb = s.walk(a), s.walk(b)
     if isinstance(ra, Compound) and isinstance(rb, Compound) and len(ra.args) == len(rb.args):
         fa, fb = ra.functor, rb.functor
         if library.is_abstract(fa) and library.parent_of(fb) == fa:

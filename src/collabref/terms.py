@@ -13,9 +13,14 @@ Term walks go through `map_term`, which rebuilds a term leaf by leaf, or
 `visit`, which calls a function on every subterm in pre-order; both pass
 along the parameters of the enclosing lambdas. Only the hot `resolve`,
 `unify` and occurs check, and `canon` and `format_term`, which build
-their own syntax, keep their own recursion. `canon_ground` gives a term's
-`canon` key and whether it is ground from that one walk, since the walk
-numbers the free variables anyway.
+their own syntax, keep their own recursion. The hot three pay only for
+variables: they dispatch on exact type (no term class has a subclass),
+walk only a variable, and never call themselves on a constant, which a
+compound or list compares by name or keeps in place. The solver walks
+only the top of a constraint; a query goal is resolved once, in
+`BeliefBase.query`. `canon_ground` gives a term's `canon` key and
+whether it is ground from that one walk, since the walk numbers the free
+variables anyway.
 
 The reader tokenizes with one compiled regular expression, which gives
 the tokens, and the first bad character, that a character-by-character
@@ -172,11 +177,13 @@ class Substitution:
         A subterm the bindings leave unchanged comes back as the very same
         object, so resolving a term with nothing to do allocates nothing.
         """
-        t = self.walk(t)
         kind = type(t)
+        if kind is Var and t.uid in self._map:
+            t = self.walk(t)
+            kind = type(t)
         if kind is Compound:
             args = t.args
-            new = [self.resolve(a) for a in args]
+            new = [a if type(a) is Const else self.resolve(a) for a in args]
             if t.functor == "apply" and new and type(new[0]) is Lam:
                 lam = new[0]
                 if len(lam.params) == len(new) - 1:
@@ -187,7 +194,7 @@ class Substitution:
             return t
         if kind is ListTerm:
             items = t.items
-            new = [self.resolve(i) for i in items]
+            new = [i if type(i) is Const else self.resolve(i) for i in items]
             for a, b in zip(items, new):
                 if a is not b:
                     return ListTerm(tuple(new))
@@ -253,20 +260,31 @@ def apply_lambda(lam: Lam, args: tuple[Term, ...]) -> Term:
 
 
 def _occurs(var: Var, t: Term, s: Substitution) -> bool:
-    t = s.walk(t)
-    if isinstance(t, Var):
-        return t.uid == var.uid
-    if isinstance(t, Compound):
-        return any(_occurs(var, a, s) for a in t.args)
-    if isinstance(t, ListTerm):
-        return any(_occurs(var, i, s) for i in t.items)
-    if isinstance(t, Lam):
+    kind = type(t)
+    if kind is Var:
+        t = s.walk(t)
+        kind = type(t)
+        if kind is Var:
+            return t.uid == var.uid
+    if kind is Lam:
         return _occurs(var, t.body, s)
+    if kind is Compound:
+        subterms = t.args
+    elif kind is ListTerm:
+        subterms = t.items
+    else:
+        return False
+    for x in subterms:
+        if type(x) is not Const and _occurs(var, x, s):
+            return True
     return False
 
 
 def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | None:
     """Syntactic unification with occurs check. Returns None on failure.
+
+    Walked terms that are the same object unify as they are, and a
+    variable meeting a constant is bound without an occurs check.
 
     Lambdas unify when their arities match and their bodies unify after
     both parameter lists are replaced by the same rigid placeholder
@@ -277,30 +295,38 @@ def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | Non
     """
     if s is None:
         s = EMPTY
-    a = s.walk(a)
-    b = s.walk(b)
-    if isinstance(a, Var) and isinstance(b, Var) and a.uid == b.uid:
+    ka, kb = type(a), type(b)
+    if ka is Var and a.uid in s._map:
+        a = s.walk(a)
+        ka = type(a)
+    if kb is Var and b.uid in s._map:
+        b = s.walk(b)
+        kb = type(b)
+    if a is b:
         return s
-    if isinstance(a, Var):
-        if _occurs(a, b, s):
-            return None
-        return s.bind(a, b)
-    if isinstance(b, Var):
-        if _occurs(b, a, s):
-            return None
-        return s.bind(b, a)
-    if isinstance(a, Const) and isinstance(b, Const):
+    if ka is Var:
+        if kb is Var:
+            return s if a.uid == b.uid else s.bind(a, b)
+        if kb is Const or not _occurs(a, b, s):
+            return s.bind(a, b)
+        return None
+    if kb is Var:
+        if ka is Const or not _occurs(b, a, s):
+            return s.bind(b, a)
+        return None
+    if ka is not kb:
+        return None
+    if ka is Const:
         return s if a.name == b.name else None
-    if isinstance(a, ListTerm) and isinstance(b, ListTerm):
+    if ka is Compound:
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            return None
+        pairs = zip(a.args, b.args)
+    elif ka is ListTerm:
         if len(a.items) != len(b.items):
             return None
-        for x, y in zip(a.items, b.items):
-            s2 = unify(x, y, s)
-            if s2 is None:
-                return None
-            s = s2
-        return s
-    if isinstance(a, Lam) and isinstance(b, Lam):
+        pairs = zip(a.items, b.items)
+    else:
         if len(a.params) != len(b.params):
             return None
         base = max(_placeholder_top(a), _placeholder_top(b))
@@ -314,16 +340,15 @@ def unify(a: Term, b: Term, s: Substitution | None = None) -> Substitution | Non
             if visit(s2.resolve(v), _is_placeholder):
                 return None
         return s2
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return None
-        for x, y in zip(a.args, b.args):
-            s2 = unify(x, y, s)
-            if s2 is None:
+    for x, y in pairs:
+        if type(x) is Const and type(y) is Const:
+            if x.name != y.name:
                 return None
-            s = s2
-        return s
-    return None
+        else:
+            s = unify(x, y, s)
+            if s is None:
+                return None
+    return s
 
 
 def variables_of(t: Term) -> list[Var]:
@@ -331,7 +356,7 @@ def variables_of(t: Term) -> list[Var]:
     out: dict[int, Var] = {}
 
     def note(x: Term, bound: frozenset[int]) -> None:
-        if isinstance(x, Var) and x.uid not in bound:
+        if type(x) is Var and x.uid not in bound:
             out.setdefault(x.uid, x)
 
     visit(t, note)
@@ -398,7 +423,7 @@ def is_ground(t: Term) -> bool:
 
 
 def _is_free_var(x: Term, bound: frozenset[int]) -> bool:
-    return isinstance(x, Var) and x.uid not in bound
+    return type(x) is Var and x.uid not in bound
 
 
 def _is_placeholder(x: Term, _bound: frozenset[int]) -> bool:
@@ -552,13 +577,14 @@ def read_term(text: str, names: NameSource) -> Term:
 
 def format_term(t: Term) -> str:
     """Render a term as parseable text (modulo variable identity)."""
-    if isinstance(t, Const):
+    kind = type(t)
+    if kind is Const:
         return t.name
-    if isinstance(t, Var):
+    if kind is Var:
         return t.name if t.name != "_" else f"_{t.uid}"
-    if isinstance(t, ListTerm):
+    if kind is ListTerm:
         return "[" + ", ".join(format_term(i) for i in t.items) + "]"
-    if isinstance(t, Lam):
+    if kind is Lam:
         inner = ", ".join(p.name for p in t.params)
         return f"lambda({inner}, {format_term(t.body)})"
     if t.functor == "=" and len(t.args) == 2:

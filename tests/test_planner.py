@@ -21,6 +21,7 @@ from collabref import (
     evaluate,
     infer,
     mk,
+    run_text,
 )
 from collabref import planner
 from collabref.beliefs import SYSTEM, USER, BeliefBase
@@ -40,7 +41,7 @@ from collabref.terms import (
 )
 
 import worldgen
-from conftest import golden_state, make_state, opening_request
+from conftest import DATA_DIR, SCENARIO_DIR, golden_state, make_state, opening_request
 
 
 def small_ctx():
@@ -608,6 +609,83 @@ def test_refusing_a_twin_in_a_large_world_makes_few_belief_queries(monkeypatch):
     refused = describe_or_refuse(*world_case(world, "thing1"))
     assert refused == ("refused", "no plan achieves the goal")
     assert calls[0] <= 8, calls
+
+
+# -- one resolution of a query goal ------------------------------------------
+
+def count_top_level_resolves(monkeypatch):
+    """Count the Substitution.resolve calls not made inside another one."""
+    calls, depth = [0], [0]
+    real = Substitution.resolve
+
+    def counting(self, t):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(self, t)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Substitution, "resolve", counting)
+    return calls
+
+
+def bound_speaker_and_hearer(ctx):
+    speaker, hearer = ctx.names.fresh_var("Speaker"), ctx.names.fresh_var("Hearer")
+    return speaker, hearer, Substitution().bind(speaker, SYSTEM).bind(hearer, USER)
+
+
+def test_a_query_constraint_is_resolved_once(monkeypatch):
+    ctx = small_ctx()
+    speaker, hearer, s = bound_speaker_and_hearer(ctx)
+    obj = ctx.names.fresh_var("O")
+    term = mk("bmb", speaker, hearer, mk("category", obj, Const("creature")))
+    calls = count_top_level_resolves(monkeypatch)
+    kind, sols = solve(term, s, ctx)
+    assert calls[0] == 1  # in BeliefBase.query
+    assert kind is Outcome.SOLS and [x.resolve(obj) for x in sols] == [Const("fern1")]
+
+
+def test_a_subset_filter_resolves_the_list_the_goal_and_each_answer(monkeypatch):
+    ctx = small_ctx()
+    speaker, hearer, s = bound_speaker_and_hearer(ctx)
+    cand, out, x = (ctx.names.fresh_var(n) for n in ("Cand", "Out", "X"))
+    s = s.bind(cand, ListTerm((Const("fern1"), Const("tv1"))))
+    test = Lam((x,), mk("bmb", speaker, hearer, mk("category", x, Const("creature"))))
+    calls = count_top_level_resolves(monkeypatch)
+    kind, sols = solve(mk("subset", cand, test, out), s, ctx)
+    assert calls[0] == 3  # the list, the goal in query, and the one answer
+    assert kind is Outcome.SOLS and len(sols) == 1
+    assert sols[0].resolve(out) == ListTerm((Const("fern1"),))
+
+
+# forms whose solving changes no engine state, so they can be solved twice
+REPEATABLE = planner.QUERY_FORMS | {"subset", "=", "not", "pick-one", "yield", "content"}
+
+
+def test_solve_gives_the_same_solutions_for_a_term_and_its_resolution(monkeypatch):
+    real = planner.solve
+    seen = set()
+
+    def both(term, s, ctx, clarifying=False):
+        kind, sols = real(term, s, ctx, clarifying)
+        functor = s.walk(term).functor
+        if functor in REPEATABLE:
+            seen.add(functor)
+            kind2, sols2 = real(s.resolve(term), s, ctx, clarifying)
+            assert kind2 is kind, format_term(s.resolve(term))
+            assert [canon(term, x) for x in sols2] == [canon(term, x) for x in sols]
+        return kind, sols
+
+    monkeypatch.setattr(planner, "solve", both)
+    text = (SCENARIO_DIR / "weird_creature.scn").read_text()
+    golden = (DATA_DIR / "weird_creature_events.txt").read_text()
+    assert run_text(text).text() == golden
+    rng = random.Random(1018)
+    for _ in range(6):
+        world = worldgen.random_world(rng, max_objects=6, max_rels=1)
+        describe_or_refuse(*world_case(world, world.objects[0]))
+    assert seen == REPEATABLE - {"goal"}, seen
 
 
 def test_random_dichotomy_worlds_agree_with_enumeration(rng):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
 import re
+from collections import Counter
+from time import perf_counter
 
 import pytest
 
 from collabref import NameSource, ScenarioError, load_scenario, run_text
 from collabref.cli import main
 from collabref.scenario import run_scenario
-from collabref.terms import MAX_TERM_DEPTH
+from collabref.terms import MAX_TERM_DEPTH, is_ground
 
 from conftest import DATA_DIR, SCENARIO_DIR
 
@@ -366,6 +369,25 @@ def test_cli_run_exit_two_on_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_exit_two_on_a_scenario_file_that_is_not_utf8(tmp_path, capsys, command):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"objects: a\xff\xfe\n")
+    assert main([command, str(bad if command == "run" else tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "utf-8" in err and "Traceback" not in err
+
+
+def test_cli_check_names_the_file_that_fails_to_load(tmp_path, capsys):
+    (tmp_path / "a_good.scn").write_text(SIMPLE)
+    (tmp_path / "b_broken.scn").write_text("turns:\n  user: s-refer(entity1)\n")
+    assert main(["check", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "ok   a_good.scn" in captured.out
+    assert captured.err.startswith(f"error: {tmp_path / 'b_broken.scn'}: ")
+
+
 def nested_scenario(act_depth=3, fact_depth=2):
     """A scenario whose line 4 fact and line 6 user act nest that deep.
 
@@ -444,3 +466,58 @@ def test_cli_check_flags_failures(tmp_path, capsys):
 def test_cli_check_empty_directory(tmp_path, capsys):
     assert main(["check", str(tmp_path)]) == 2
     assert "no .scn files" in capsys.readouterr().err
+
+
+# -- bounded fuzz ----------------------------------------------------------------
+
+FUZZ_MARKS = "()[],=_-$"
+FUZZ_CASES = 300
+# far above any case's run time (tens of ms); a case over it is a near-hang
+FUZZ_CASE_SECONDS = 2.0
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One to three edits: delete or insert a mark from FUZZ_MARKS, or
+    duplicate, drop or swap lines."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(["delete", "insert", "duplicate", "drop", "swap"])
+        if op in ("delete", "insert"):
+            flat = "\n".join(lines)
+            marks = [i for i, c in enumerate(flat) if c in FUZZ_MARKS]
+            if op == "delete" and marks:
+                i = rng.choice(marks)
+                flat = flat[:i] + flat[i + 1:]
+            else:
+                i = rng.randrange(len(flat) + 1)
+                flat = flat[:i] + rng.choice(FUZZ_MARKS) + flat[i:]
+            lines = flat.split("\n")
+        elif op == "duplicate":
+            i = rng.randrange(len(lines))
+            lines.insert(i, lines[i])
+        elif op == "drop" and len(lines) > 1:
+            del lines[rng.randrange(len(lines))]
+        else:
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_scenarios_end_in_a_scenario_error_or_a_transcript():
+    rng = random.Random(20261018)
+    texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.scn"))]
+    outcomes: Counter = Counter()
+    for _ in range(FUZZ_CASES):
+        text = mutate(rng.choice(texts), rng)
+        start = perf_counter()
+        try:
+            transcript = run_text(text)
+        except ScenarioError:
+            outcomes["rejected"] += 1
+        else:
+            resolved = transcript.resolution is not None
+            outcomes["resolved" if resolved else "unresolved"] += 1
+            assert not resolved or is_ground(transcript.resolution), text
+        elapsed = perf_counter() - start
+        assert elapsed < FUZZ_CASE_SECONDS, (elapsed, text)
+    assert min(outcomes["rejected"], outcomes["resolved"], outcomes["unresolved"]) > 20, outcomes

@@ -34,6 +34,7 @@ from collabref import (
     read_term,
     unify,
 )
+from collabref import terms
 from collabref.terms import (
     _tokenize,
     apply_lambda,
@@ -239,6 +240,68 @@ def test_unify_agrees_with_the_reference_on_terms_with_lambdas(pair):
     if s is not None:
         # equal up to renaming, lambda parameters included
         assert canon(s.resolve(p)) == canon(s.resolve(q)) == canon(reference(p))
+
+
+@st.composite
+def prebound(draw):
+    """An acyclic substitution over the free variables: a variable's value
+    holds only variables after it in FREE_VARS. A variable is left free, or
+    bound to a later one (chains), to a constant, or to a term, which may be
+    a list, a compound or a lambda."""
+    m = {}
+    for i, v in enumerate(FREE_VARS):
+        later = FREE_VARS[i + 1:]
+        kind = draw(st.sampled_from(["free", "chain", "const", "term", "term"]))
+        if kind == "chain" and later:
+            m[v.uid] = draw(st.sampled_from(later))
+        elif kind == "const":
+            m[v.uid] = draw(st.sampled_from(UNIVERSE))
+        elif kind == "term":
+            earlier = {u.uid: UNIVERSE[2] for u in FREE_VARS[: i + 1]}
+            m[v.uid] = substitute_free(draw(open_terms()), earlier)
+    return Substitution(m)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(unify_pairs(), prebound())
+def test_unify_under_bindings_agrees_with_the_reference_on_the_resolved_terms(pair, s):
+    p, q = pair
+    rp, rq = s.resolve(p), s.resolve(q)
+    reference = robinson_unify(rp, rq)
+    s2 = unify(p, q, s)
+    assert (s2 is None) == (reference is None), f"{format_term(rp)} vs {format_term(rq)}"
+    if s2 is not None:
+        assert canon(s2.resolve(p)) == canon(s2.resolve(q)) == canon(reference(rp))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(open_terms(), prebound())
+def test_a_term_unifies_with_itself_under_the_same_substitution(t, s):
+    assert unify(t, t, s) is s
+
+
+def test_resolve_and_unify_make_no_call_on_a_constant(monkeypatch):
+    x = _OPEN.fresh_var("X")
+    a, b, c = UNIVERSE
+    s = Substitution().bind(x, c)
+    left, right = mk("f", a, ListTerm((b, c)), x), mk("f", a, ListTerm((b, c)), c)
+    calls = {"resolve": 0, "unify": 0}
+    real_resolve, real_unify = Substitution.resolve, terms.unify
+
+    def counting_resolve(self, t):
+        calls["resolve"] += 1
+        return real_resolve(self, t)
+
+    def counting_unify(p, q, s=None):
+        calls["unify"] += 1
+        return real_unify(p, q, s)
+
+    monkeypatch.setattr(Substitution, "resolve", counting_resolve)
+    monkeypatch.setattr(terms, "unify", counting_unify)
+    assert s.resolve(left) == right
+    assert terms.unify(left, mk("f", a, ListTerm((b, c)), x), Substitution()) is not None
+    # the term, its list and its variable; no call for a, b or c
+    assert calls == {"resolve": 3, "unify": 3}
 
 
 def test_unify_finds_every_ground_common_instance():
