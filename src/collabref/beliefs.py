@@ -172,6 +172,12 @@ class BeliefBase:
     def items(self, bucket: Bucket) -> list[Term]:
         return [prop for _, prop, _ in self._stores[bucket].entries]
 
+    def filed(self, bucket: Bucket, pattern: Term) -> list[tuple[int, Term]]:
+        """(insertion number, proposition) for each proposition filed where
+        one unifying with pattern would be, oldest first: a snapshot."""
+        filed = self._stores[bucket].candidates(_key(pattern, EMPTY))
+        return [(seq, prop) for seq, prop, _ in filed]
+
     def assert_prop(self, bucket: Bucket, prop: Term, s: Substitution | None = None) -> bool:
         """Add a proposition; returns False if an alpha-equal one is present."""
         if s is not None:

@@ -3,68 +3,47 @@
 The system is always one of the two agents. It hears the user's acts
 (plan recognition), judges the recognized plan, and records the
 contribution; it speaks by adopting a goal and building a plan for it.
-Between contributions a small rule set keeps the shared picture honest:
+Between contributions a small rule set keeps the shared picture honest.
 
-   1  speaker-has-goal                what you said, you wanted
-   2  sincere-communication           what you wanted me to think you
-                                      believe, you believe
-   3  contributor-believes-adequate   you think your referring plan works
-   4  enter-collaboration             a doubted plan opens a negotiation
-   5  accept-error-judgment           a shared error verdict sticks
-   6  accept-replacement              a shared repair becomes the plan
-                                      under discussion
-   7  mutual-acceptance               both happy means mutually happy
+The rules are the rows of one table (`Rule`): a trigger pattern read
+once from text, a guard, a conclusion and the bucket it goes to, and for
+rules 4 and 6, which move the plan under discussion (`CState`), a small
+action. A fact fires a row when the trigger matches it one way (only the
+pattern's variables bind), its `P` is the plan the row is scoped to, if
+any, and the guard holds; at most once per rule and fact, ever. A
+variable only the conclusion names is fresh on each firing.
 
-Rules 1-7 forward-chain after every contribution. Three more fire only
-when the system is choosing what to say, first match wins, each instance
-at most once ever:
-
-   8  adopt-inform-error-goal         tell them where their plan fails
-   9  adopt-replace-goal              propose a repair for the shared error
-  10  adopt-accept-goal               close the negotiation
-
-Every firing, belief change, utterance and verdict lands in the event
-log in a fixed, replayable order.
+Rules 1-7 (`CHAIN_RULES`) chain after every contribution, in passes
+until none fires, each over a snapshot of the common-ground facts filed
+under its trigger's index key, oldest first. Rules 8-10 (`ADOPT_RULES`)
+pick what the system says next, and the first match wins: 8 and 10 read
+the answers to bel(system, Trigger), 9 the common ground. Every firing,
+belief change, utterance and verdict lands in the event log in a fixed,
+replayable order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .beliefs import BeliefBase, Bucket, Perspective, SYSTEM, USER
 from .errors import NoPlanError, NotUnderstoodError
-from .planner import (
-    InferenceResult,
-    META_ROOTS,
-    PlannerContext,
-    Verdict,
-    construct,
-    infer,
-)
+from .planner import META_ROOTS, InferenceResult, PlannerContext, Verdict, construct, infer
 from .schemas import SchemaLibrary
 from .terms import (
+    EMPTY,
     Compound,
     Const,
     NameSource,
-    Substitution,
     Term,
+    TermReader,
+    Var,
     canon,
     format_term,
+    map_term,
     mk,
 )
-
-RULE_NAMES = {
-    1: "speaker-has-goal",
-    2: "sincere-communication",
-    3: "contributor-believes-adequate",
-    4: "enter-collaboration",
-    5: "accept-error-judgment",
-    6: "accept-replacement",
-    7: "mutual-acceptance",
-    8: "adopt-inform-error-goal",
-    9: "adopt-replace-goal",
-    10: "adopt-accept-goal",
-}
 
 MAX_CONTRIBUTIONS_PER_TURN = 10
 
@@ -87,6 +66,9 @@ class CState:
 
     plan: str
     goal: Term
+
+    def __str__(self) -> str:
+        return f"plan={self.plan} goal={format_term(self.goal)}"
 
 
 @dataclass
@@ -115,13 +97,25 @@ class MentalState:
         self.cstate: CState | None = None
         self.last_referring: str | None = None
         self.uttered: set[str] = set()
-        self.fired: set[tuple] = set()
+        # (rule, fact) pairs a rule is done with: it fired on the fact, or its
+        # trigger does not match it. Keying common ground by insertion number
+        # is as good as by `canon`: no two facts are alpha-equal, and rule 5
+        # retracts none a trigger reads.
+        self.spent: set[tuple[int, int | str]] = set()
+
+    @property
+    def negotiated(self) -> str | None:
+        """The plan under discussion, if a negotiation is open."""
+        return self.cstate.plan if self.cstate else None
+
+    @property
+    def scope(self) -> str | None:
+        """The plan under discussion, else the last referring plan."""
+        return self.cstate.plan if self.cstate else self.last_referring
 
     # -- helpers -------------------------------------------------------------
 
-    def _assert(self, bucket: Bucket, prop: Term, s: Substitution | None = None) -> bool:
-        if s is not None:
-            prop = s.resolve(prop)
+    def _assert(self, bucket: Bucket, prop: Term) -> bool:
         added = self.base.assert_prop(bucket, prop)
         if added:
             self.log.add(f"belief + {bucket.value} {format_term(prop)}")
@@ -131,18 +125,17 @@ class MentalState:
         for gone in self.base.retract_matching(bucket, pattern):
             self.log.add(f"belief - {bucket.value} {format_term(gone)}")
 
+    def _believes(self, prop: Term) -> bool:
+        return bool(self.base.query(mk("bel", SYSTEM, prop), self.ctx.persp, EMPTY))
+
     def _extract_goal(self, plan) -> Term:
+        """The referring goal the plan communicates, resolved."""
         if plan.root_effect is None:
             raise NotUnderstoodError(f"plan {plan.id} communicates nothing")
-        effect = plan.bindings.resolve(plan.root_effect)
-        if (
-            isinstance(effect, Compound)
-            and effect.functor == "bel"
-            and isinstance(effect.args[1], Compound)
-            and effect.args[1].functor == "goal"
-        ):
-            return effect.args[1].args[1]
-        raise NotUnderstoodError(f"plan {plan.id} has an odd effect shape")
+        b: dict[str, Term] = {}
+        if not _match(_EFFECT, plan.bindings.resolve(plan.root_effect), b):
+            raise NotUnderstoodError(f"plan {plan.id} has an odd effect shape")
+        return b["G"]
 
     # -- hearing -------------------------------------------------------------
 
@@ -152,8 +145,8 @@ class MentalState:
         is_meta = bool(acts) and isinstance(acts[0], Compound) and acts[0].functor in META_ROOTS
         expected = None
         if is_meta:
-            expected = self.cstate.plan if self.cstate else self.last_referring
-            target = acts[0].args[0]
+            expected = self.scope
+            target = acts[0].args[0] if acts[0].args else None
             if not (isinstance(target, Const) and target.name in self.ctx.registry):
                 self.log.add("inferred nothing")
                 raise NotUnderstoodError("that is about no plan I know")
@@ -171,9 +164,7 @@ class MentalState:
         if result.kind is Verdict.ERROR_AT and is_meta:
             raise NotUnderstoodError("that clarification does not hold up")
         plan = result.plan
-        goal = plan.bindings.resolve(self._extract_goal(plan))
-        self._record_contribution(Contribution("user", plan.id, goal, acts))
-        self._apply_rules()
+        self._record_contribution(Contribution("user", plan.id, self._extract_goal(plan), acts))
         return result
 
     # -- speaking ------------------------------------------------------------
@@ -193,337 +184,257 @@ class MentalState:
                 continue
             acts = plan.yield_of()
             self.log.add("uttered " + "; ".join(format_term(a) for a in acts))
-            spoken_goal = plan.bindings.resolve(self._extract_goal(plan))
+            spoken_goal = self._extract_goal(plan)
             self._record_contribution(Contribution("system", plan.id, spoken_goal, acts))
-            self._apply_rules()
             utterances.append(acts)
         return utterances
 
     # -- contribution bookkeeping ---------------------------------------------
 
     def _record_contribution(self, c: Contribution) -> None:
+        """Put the contribution on the common ground, then chain the rules."""
         self.log.add(
             f"contribution {c.speaker} plan={c.plan_id} goal={format_term(c.goal)}"
         )
-        who = Const(c.speaker)
-        prop = mk("plan", who, Const(c.plan_id), c.goal)
+        prop = mk("plan", Const(c.speaker), Const(c.plan_id), c.goal)
         self.uttered.add(canon(prop))
         self._assert(Bucket.COMMON_GROUND, prop)
         plan = self.ctx.registry[c.plan_id]
         if plan.nodes[plan.root].schema == "refer":
             self.last_referring = c.plan_id
-            judgment = self.ctx.plan_judgments.get(c.plan_id)
-            if judgment is not None:
-                verdict, detail = judgment
-                if verdict == "achieve":
-                    self._assert(Bucket.PRIVATE, mk("achieve", Const(c.plan_id), c.goal))
-                else:
-                    self._assert(
-                        Bucket.PRIVATE, mk("error", Const(c.plan_id), Const(detail))
-                    )
+            self._judge(Const(c.plan_id), c.goal)
+        self._apply_rules()
 
-    # -- rules 1-7 -----------------------------------------------------------
+    def _judge(self, plan: Const, goal: Term) -> None:
+        """Hold privately what evaluation found: the plan achieves the
+        goal, or fails at a node."""
+        judgment = self.ctx.plan_judgments.get(plan.name)
+        if judgment is not None:
+            verdict, detail = judgment
+            if verdict == "achieve":
+                self._assert(Bucket.PRIVATE, mk("achieve", plan, goal))
+            else:
+                self._assert(Bucket.PRIVATE, mk("error", plan, Const(detail)))
+
+    def _discuss(self, plan: Const, goal: Term) -> None:
+        self.cstate = CState(plan.name, goal)
+        self.log.add(f"cstate {self.cstate}")
+
+    # -- the matcher ---------------------------------------------------------
 
     def _apply_rules(self) -> None:
         changed = True
         while changed:
             changed = False
-            for rule in (
-                self._rule1, self._rule2, self._rule3, self._rule4,
-                self._rule5, self._rule6, self._rule7,
-            ):
-                if rule():
+            for rule in CHAIN_RULES:
+                for tag, b in self._matches(rule):
+                    self._fire(rule, tag, b)
                     changed = True
-
-    def _fire(self, key: tuple, number: int, detail: Term | str) -> None:
-        self.fired.add(key)
-        text = detail if isinstance(detail, str) else format_term(detail)
-        self.log.add(f"rule {number} {RULE_NAMES[number]} {text}")
-
-    def _cg(self) -> list[Term]:
-        return self.base.items(Bucket.COMMON_GROUND)
-
-    def _rule1(self) -> bool:
-        any_fired = False
-        for prop in self._cg():
-            if not (isinstance(prop, Compound) and prop.functor == "plan" and len(prop.args) == 3):
-                continue
-            if canon(prop) not in self.uttered:
-                continue
-            key = ("r1", canon(prop))
-            if key in self.fired:
-                continue
-            derived = mk("goal", prop.args[0], prop.args[2])
-            self._fire(key, 1, derived)
-            self._assert(Bucket.COMMON_GROUND, derived)
-            any_fired = True
-        return any_fired
-
-    def _rule2(self) -> bool:
-        any_fired = False
-        for prop in self._cg():
-            if not (isinstance(prop, Compound) and prop.functor == "goal" and len(prop.args) == 2):
-                continue
-            a1, inner = prop.args
-            if not (isinstance(inner, Compound) and inner.functor == "bel" and len(inner.args) == 2):
-                continue
-            a2, inner2 = inner.args
-            if not (isinstance(inner2, Compound) and inner2.functor == "bel" and len(inner2.args) == 2):
-                continue
-            if inner2.args[0] != a1 or a1 == a2:
-                continue
-            key = ("r2", canon(prop))
-            if key in self.fired:
-                continue
-            derived = mk("bel", a1, inner2.args[1])
-            self._fire(key, 2, derived)
-            self._assert(Bucket.COMMON_GROUND, derived)
-            any_fired = True
-        return any_fired
-
-    def _rule3(self) -> bool:
-        any_fired = False
-        for prop in self._cg():
-            if not (isinstance(prop, Compound) and prop.functor == "plan" and len(prop.args) == 3):
-                continue
-            agent, pid, goal = prop.args
-            if agent == SYSTEM:
-                continue
-            if not (isinstance(goal, Compound) and goal.functor == "knowref"):
-                continue
-            key = ("r3", canon(prop))
-            if key in self.fired:
-                continue
-            derived = mk("achieve", pid, goal)
-            self._fire(key, 3, derived)
-            self._assert(Bucket.USER_MODEL, derived)
-            any_fired = True
-        return any_fired
-
-    def _rule4(self) -> bool:
-        if self.cstate is not None:
-            return False
-        for prop in self._cg():
-            if not (isinstance(prop, Compound) and prop.functor == "plan" and len(prop.args) == 3):
-                continue
-            agent, pid, goal = prop.args
-            if not (isinstance(goal, Compound) and goal.functor == "knowref" and isinstance(pid, Const)):
-                continue
-            if not self.base.holds(Bucket.COMMON_GROUND, mk("goal", agent, goal)):
-                continue
-            doubt = mk(
-                "bel", SYSTEM,
-                mk("bel", self.names.fresh_var("A"), mk("error", pid, self.names.fresh_var("N"))),
-            )
-            if not self.base.query(doubt, self.ctx.persp, Substitution()):
-                continue
-            key = ("r4", canon(prop))
-            if key in self.fired:
-                continue
-            self.cstate = CState(plan=pid.name, goal=goal)
-            self._fire(key, 4, f"plan={pid.name} goal={format_term(goal)}")
-            self.log.add(f"cstate plan={pid.name} goal={format_term(goal)}")
-            return True
-        return False
-
-    def _rule5(self) -> bool:
-        if self.cstate is None:
-            return False
-        any_fired = False
-        for prop in self._cg():
-            shaped = self._shaped_bel(prop, "error")
-            if shaped is None:
-                continue
-            _, verdict = shaped
-            pid = verdict.args[0]
-            if not (isinstance(pid, Const) and pid.name == self.cstate.plan):
-                continue
-            key = ("r5", canon(prop))
-            if key in self.fired:
-                continue
-            self._fire(key, 5, verdict)
-            self._assert(Bucket.COMMON_GROUND, verdict)
-            stale = mk("achieve", pid, self.names.fresh_var("G"))
-            for bucket in (Bucket.PRIVATE, Bucket.USER_MODEL, Bucket.COMMON_GROUND):
-                self._retract(bucket, stale)
-            any_fired = True
-        return any_fired
-
-    def _rule6(self) -> bool:
-        if self.cstate is None:
-            return False
-        for prop in self._cg():
-            shaped = self._shaped_bel(prop, "replace")
-            if shaped is None:
-                continue
-            agent, repl = shaped
-            pid, newpid = repl.args
-            if not (isinstance(pid, Const) and pid.name == self.cstate.plan):
-                continue
-            if not isinstance(newpid, Const):
-                continue
-            if not any(
-                isinstance(e, Compound) and e.functor == "error" and e.args and e.args[0] == pid
-                for e in self._cg()
-            ):
-                continue
-            key = ("r6", canon(prop))
-            if key in self.fired:
-                continue
-            self._fire(key, 6, repl)
-            self._assert(Bucket.COMMON_GROUND, repl)
-            judgment = self.ctx.plan_judgments.get(newpid.name)
-            new_goal = self._goal_with_referent(judgment)
-            if judgment is not None:
-                verdict, detail = judgment
-                if verdict == "achieve":
-                    self._assert(Bucket.PRIVATE, mk("achieve", newpid, new_goal))
-                else:
-                    self._assert(Bucket.PRIVATE, mk("error", newpid, Const(detail)))
-            replay = mk("plan", agent, newpid, new_goal)
-            self._assert(Bucket.COMMON_GROUND, replay)
-            self.cstate = CState(plan=newpid.name, goal=new_goal)
-            self.log.add(
-                f"cstate plan={newpid.name} goal={format_term(new_goal)}"
-            )
-            return True
-        return False
-
-    def _goal_with_referent(self, judgment) -> Term:
-        goal = self.cstate.goal
-        assert isinstance(goal, Compound) and goal.functor == "knowref"
-        if judgment is not None and judgment[0] == "achieve":
-            referent = judgment[1]
-        else:
-            referent = self.names.fresh_var("Object")
-        return Compound("knowref", goal.args[:3] + (referent,))
-
-    def _rule7(self) -> bool:
-        scope = self.cstate.plan if self.cstate else self.last_referring
-        if scope is None:
-            return False
-        any_fired = False
-        for prop in self._cg():
-            shaped = self._shaped_bel(prop, "achieve")
-            if shaped is None:
-                continue
-            agent, ach = shaped
-            pid = ach.args[0]
-            if not (isinstance(pid, Const) and pid.name == scope):
-                continue
-            other = USER if agent == SYSTEM else SYSTEM
-            check = mk("bel", SYSTEM, mk("bel", other, ach))
-            if not self.base.query(check, self.ctx.persp, Substitution()):
-                continue
-            key = ("r7", canon(prop))
-            if key in self.fired:
-                continue
-            self._fire(key, 7, ach)
-            self._assert(Bucket.COMMON_GROUND, ach)
-            any_fired = True
-        return any_fired
-
-    @staticmethod
-    def _shaped_bel(prop: Term, inner_functor: str) -> tuple[Term, Compound] | None:
-        if not (isinstance(prop, Compound) and prop.functor == "bel" and len(prop.args) == 2):
-            return None
-        inner = prop.args[1]
-        if not (isinstance(inner, Compound) and inner.functor == inner_functor):
-            return None
-        return prop.args[0], inner
-
-    # -- rules 8-10 ----------------------------------------------------------
+                    if rule.action is not None:  # the discussion moved
+                        break
 
     def _derive_goal(self) -> Term | None:
-        return self._rule8() or self._rule9() or self._rule10()
-
-    def _adopt(self, key: tuple, number: int, goal: Term) -> Term:
-        self._fire(key, number, goal)
-        self._assert(Bucket.GOALS, goal)
-        return goal
-
-    def _rule8(self) -> Term | None:
-        if self.cstate is None:
-            return None
-        pid = Const(self.cstate.plan)
-        pattern = mk("error", pid, self.names.fresh_var("N"))
-        for s in self.base.query(mk("bel", SYSTEM, pattern), self.ctx.persp, Substitution()):
-            found = s.resolve(pattern)
-            key = ("r8", canon(found))
-            if key in self.fired:
-                continue
-            goal = mk("bel", USER, mk("bel", SYSTEM, found))
-            return self._adopt(key, 8, goal)
+        for rule in ADOPT_RULES:
+            for tag, b in self._matches(rule):
+                return self._fire(rule, tag, b)
         return None
 
-    def _rule9(self) -> Term | None:
-        if self.cstate is None:
-            return None
-        for prop in self._cg():
-            if not (isinstance(prop, Compound) and prop.functor == "error" and len(prop.args) == 2):
+    def _matches(self, rule: Rule):
+        """Yield (tag, bindings) per fact that fires the rule: a snapshot, oldest first."""
+        plan = None
+        if rule.scope is not None:
+            name = getattr(self, rule.scope)
+            if name is None:
+                return
+            plan = Const(name)
+        if rule.believed:
+            pattern = self._instance(rule.trigger, {"P": plan})
+            answers = self.base.query(mk("bel", SYSTEM, pattern), self.ctx.persp, EMPTY)
+            facts = [(canon(f), f) for f in (s.resolve(pattern) for s in answers)]
+        else:
+            facts = self.base.filed(Bucket.COMMON_GROUND, rule.trigger)
+        for key, fact in facts:
+            tag = (rule.number, key)
+            if tag in self.spent:
                 continue
-            pid, node = prop.args
-            if not (isinstance(pid, Const) and pid.name == self.cstate.plan):
-                continue
-            if not isinstance(node, Const):
-                continue
-            plan = self.ctx.registry.get(pid.name)
-            if plan is None or node.name not in plan.nodes:
-                continue
-            content = plan.content_of(node.name)
-            if not self._refashionable(content):
-                continue
-            key = ("r9", canon(prop))
-            if key in self.fired:
-                continue
-            goal = mk(
-                "bel", USER,
-                mk("bel", SYSTEM, mk("replace", pid, self.names.fresh_var("NewPlan"))),
-            )
-            return self._adopt(key, 9, goal)
-        return None
+            b: dict[str, Term] = {}
+            if not _match(rule.trigger, fact, b):
+                self.spent.add(tag)
+            elif (plan is None or b["P"] == plan) and (rule.guard is None or rule.guard(self, b)):
+                yield tag, b
 
-    @staticmethod
-    def _refashionable(content: Term) -> bool:
-        if not isinstance(content, Compound):
+    def _fire(self, rule: Rule, tag: tuple, b: dict[str, Term]) -> Term | None:
+        self.spent.add(tag)
+        drawn = None if rule.conclusion is None else self._instance(rule.conclusion, b)
+        # rule 4 draws no belief: its line shows the discussion it opens
+        shown = CState(b["P"].name, b["G"]) if drawn is None else format_term(drawn)
+        self.log.add(f"rule {rule.number} {rule.name} {shown}")
+        if drawn is not None:
+            self._assert(rule.bucket, drawn)
+        if rule.retract is not None:
+            for bucket in (Bucket.PRIVATE, Bucket.USER_MODEL, Bucket.COMMON_GROUND):
+                self._retract(bucket, self._instance(rule.retract, b))
+        if rule.action is not None:
+            rule.action(self, b)
+        return drawn
+
+    def _instance(self, t: Term, b: dict[str, Term]) -> Term:
+        """t under b; a variable b leaves open is bound in b to a fresh one."""
+        def leaf(x: Term, _bound) -> Term:
+            if type(x) is Var and x.name not in b:
+                b[x.name] = self.names.fresh_var(x.name)
+            return b[x.name] if type(x) is Var else x
+
+        return map_term(t, leaf)
+
+    # -- guards and actions --------------------------------------------------
+
+    def _doubted(self, b: dict[str, Term]) -> bool:
+        """No plan is under discussion, this plan's goal is mutual, and the
+        system believes someone holds the plan in error."""
+        if self.cstate is not None or type(b["P"]) is not Const:
             return False
-        if content.functor in ("modifier", "modifier-absolute", "modifier-relative"):
-            return len(content.args) == 4
-        if content.functor == "modifiers-terminate":
-            return len(content.args) == 3
-        return False
+        if not self.base.holds(Bucket.COMMON_GROUND, mk("goal", b["A"], b["G"])):
+            return False
+        error = mk("error", b["P"], self.names.fresh_var("N"))
+        return self._believes(mk("bel", self.names.fresh_var("A"), error))
 
-    def _rule10(self) -> Term | None:
-        scope = self.cstate.plan if self.cstate else self.last_referring
-        if scope is None:
-            return None
-        pid = Const(scope)
-        pattern = mk("achieve", pid, self.names.fresh_var("G"))
-        for s in self.base.query(mk("bel", SYSTEM, pattern), self.ctx.persp, Substitution()):
-            found = s.resolve(pattern)
-            check = mk("bel", SYSTEM, mk("bel", USER, found))
-            if not self.base.query(check, self.ctx.persp, Substitution()):
-                continue
-            key = ("r10", canon(found))
-            if key in self.fired:
-                continue
-            goal = mk("bel", USER, mk("bel", SYSTEM, found))
-            return self._adopt(key, 10, goal)
-        return None
+    def _repairable(self, b: dict[str, Term]) -> bool:
+        """The replacement is a plan, and the replaced one is mutually in error."""
+        return type(b["NewP"]) is Const and any(
+            isinstance(e, Compound) and e.functor == "error" and e.args[:1] == (b["P"],)
+            for e in self.base.items(Bucket.COMMON_GROUND)
+        )
+
+    def _take_replacement(self, b: dict[str, Term]) -> None:
+        """The replacement is now discussed, with the referent it was judged to find."""
+        plan = b["NewP"]
+        judgment = self.ctx.plan_judgments.get(plan.name, ("error", None))
+        referent = judgment[1] if judgment[0] == "achieve" else self.names.fresh_var("Object")
+        goal = Compound("knowref", self.cstate.goal.args[:3] + (referent,))
+        self._judge(plan, goal)
+        self._assert(Bucket.COMMON_GROUND, mk("plan", b["A"], plan, goal))
+        self._discuss(plan, goal)
+
+    def _refashionable(self, b: dict[str, Term]) -> bool:
+        """The erroneous node is a modifier step a repair can replace."""
+        node, plan = b["N"], self.ctx.registry.get(b["P"].name)
+        if type(node) is not Const or plan is None or node.name not in plan.nodes:
+            return False
+        content = plan.content_of(node.name)
+        return isinstance(content, Compound) and (content.functor, len(content.args)) in {
+            ("modifier", 4), ("modifier-absolute", 4), ("modifier-relative", 4),
+            ("modifiers-terminate", 3),
+        }
 
     # -- wrap-up -------------------------------------------------------------
 
     def resolution(self) -> Term | None:
         """The mutually believed achievement of the plan under discussion."""
-        scope = self.cstate.plan if self.cstate else self.last_referring
-        if scope is None:
+        if self.scope is None:
             return None
-        for prop in self._cg():
-            if (
-                isinstance(prop, Compound)
-                and prop.functor == "achieve"
-                and len(prop.args) == 2
-                and prop.args[0] == Const(scope)
-            ):
+        scoped = {"P": Const(self.scope)}
+        for _, prop in self.base.filed(Bucket.COMMON_GROUND, _ACHIEVED):
+            if _match(_ACHIEVED, prop, dict(scoped)):
                 return prop
         return None
+
+
+# -- the rule table ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of the rule table; see the module docstring."""
+
+    number: int
+    name: str
+    trigger: Term
+    conclusion: Term | None
+    bucket: Bucket
+    scope: str | None  # the attribute of MentalState naming the plan P must be
+    guard: Callable[[MentalState, dict[str, Term]], bool] | None
+    action: Callable[[MentalState, dict[str, Term]], None] | None
+    retract: Term | None  # withdrawn from the private, user and common buckets
+    believed: bool  # read the answers to bel(system, Trigger), not the common ground
+
+
+# Rule patterns take variable uids from here up, below the schema
+# library's, so they never meet a library variable or a state's.
+_RULE_START = -2_000_000
+_RULE_VARS = NameSource(_RULE_START)
+
+
+def _rule(
+    number: int, name: str, trigger: str, conclusion: str | None = None,
+    bucket: Bucket = Bucket.COMMON_GROUND, *, scope: str | None = None, guard=None,
+    action=None, retract: str | None = None, believed: bool = False,
+) -> Rule:
+    """A row, its patterns read with one variable table: one name, one variable."""
+    read = TermReader(_RULE_VARS).read
+    drawn, withdrawn = (None if t is None else read(t) for t in (conclusion, retract))
+    return Rule(
+        number, name, read(trigger), drawn, bucket, scope, guard, action, withdrawn, believed
+    )
+
+
+def _match(pattern: Term, fact: Term, b: dict[str, Term]) -> bool:
+    """Match one way: bind the pattern's variables, by name, to subterms of
+    the fact, and never a variable of the fact. `Name = Pattern` binds Name
+    to the subterm Pattern matches."""
+    if type(pattern) is Var:
+        seen = b.setdefault(pattern.name, fact)
+        return seen is fact or seen == fact
+    if type(pattern) is not Compound:
+        return pattern == fact
+    if pattern.functor == "=":
+        return _match(pattern.args[1], fact, b) and _match(pattern.args[0], fact, b)
+    return (
+        type(fact) is Compound
+        and fact.functor == pattern.functor
+        and len(fact.args) == len(pattern.args)
+        and all(_match(p, f, b) for p, f in zip(pattern.args, fact.args))
+    )
+
+
+_EFFECT = TermReader(_RULE_VARS).read("bel(H, goal(S, G))")
+_ACHIEVED = TermReader(_RULE_VARS).read("achieve(P, G)")
+
+CHAIN_RULES = (
+    # what you said, you wanted
+    _rule(1, "speaker-has-goal", "plan(A, P, G)", "goal(A, G)",
+          guard=lambda ms, b: canon(mk("plan", b["A"], b["P"], b["G"])) in ms.uttered),
+    # what you wanted me to think you believe, you believe
+    _rule(2, "sincere-communication", "goal(A, bel(B, bel(A, Q)))", "bel(A, Q)",
+          guard=lambda ms, b: b["A"] != b["B"]),
+    # you think your referring plan works
+    _rule(3, "contributor-believes-adequate", "plan(A, P, G = knowref(S, H, E, O))",
+          "achieve(P, G)", Bucket.USER_MODEL, guard=lambda ms, b: b["A"] != SYSTEM),
+    # a doubted plan opens a negotiation
+    _rule(4, "enter-collaboration", "plan(A, P, G = knowref(S, H, E, O))",
+          guard=MentalState._doubted, action=lambda ms, b: ms._discuss(b["P"], b["G"])),
+    # a shared error verdict sticks, and the plan no longer counts as adequate
+    _rule(5, "accept-error-judgment", "bel(A, error(P, N))", "error(P, N)",
+          scope="negotiated", retract="achieve(P, G)"),
+    # a shared repair becomes the plan under discussion
+    _rule(6, "accept-replacement", "bel(A, replace(P, NewP))", "replace(P, NewP)",
+          scope="negotiated", guard=MentalState._repairable,
+          action=MentalState._take_replacement),
+    # both happy means mutually happy
+    _rule(7, "mutual-acceptance", "bel(A, X = achieve(P, G))", "X", scope="scope",
+          guard=lambda ms, b: ms._believes(
+              mk("bel", USER if b["A"] == SYSTEM else SYSTEM, b["X"]))),
+)
+
+ADOPT_RULES = (
+    # tell them where their plan fails
+    _rule(8, "adopt-inform-error-goal", "error(P, N)", "bel(user, bel(system, error(P, N)))",
+          Bucket.GOALS, scope="negotiated", believed=True),
+    # propose a repair for the shared error
+    _rule(9, "adopt-replace-goal", "error(P, N)",
+          "bel(user, bel(system, replace(P, NewPlan)))", Bucket.GOALS,
+          scope="negotiated", guard=MentalState._refashionable),
+    # close the negotiation
+    _rule(10, "adopt-accept-goal", "achieve(P, G)", "bel(user, bel(system, achieve(P, G)))",
+          Bucket.GOALS, scope="scope", believed=True,
+          guard=lambda ms, b: ms._believes(mk("bel", USER, mk("achieve", b["P"], b["G"])))),
+)

@@ -143,7 +143,8 @@ def solve(
     term: Term, s: Substitution, ctx: PlannerContext, clarifying: bool = False
 ) -> tuple[Outcome, list[Substitution]]:
     """Solutions of one constraint. In a clarification (clarifying), replanning
-    against given acts only derives them and records its verdict on the plan."""
+    only derives the given acts and records its verdict on the plan; acts that
+    are not a list derive nothing."""
     t = s.walk(term)
     if type(t) is not Compound:
         raise PlanError(f"cannot solve non-compound constraint {s.resolve(t)!r}")
@@ -333,10 +334,12 @@ def _solve_replan(
         got = ListTerm(tuple(target.yield_of()))
         s2 = unify(t.args[1], got, s)
         return [s2] if s2 is not None else []
-    if isinstance(acts, ListTerm):
-        if not clarifying:
-            raise PlanError("replanning against given acts outside recognition")
+    if clarifying:
+        if not isinstance(acts, ListTerm):
+            return []
         return _replan_recognize(target, list(acts.items), s, ctx)
+    if isinstance(acts, ListTerm):
+        raise PlanError("replanning against given acts outside recognition")
     completed, added = complete_plan(target, ctx)
     merged = s.merge(completed.bindings)
     s2 = unify(t.args[1], ListTerm(tuple(added)), merged)

@@ -285,10 +285,9 @@ def _resolve_current(term: Term, ms: MentalState, lineno: int) -> Term:
     def current(t: Term, _bound) -> Term:
         if not (isinstance(t, Const) and t.name == "current"):
             return t
-        scope = ms.cstate.plan if ms.cstate else ms.last_referring
-        if scope is None:
+        if ms.scope is None:
             raise ScenarioError("'current' used before any referring plan", lineno)
-        return Const(scope)
+        return Const(ms.scope)
 
     return map_term(term, current)
 

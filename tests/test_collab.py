@@ -112,6 +112,16 @@ def test_rule_instances_fire_once(golden):
     assert rule_numbers(golden.log.lines) == before
 
 
+def test_rule_triggers_match_facts_one_way(golden):
+    # a trigger binds its own variables only: a fact with a variable where
+    # the trigger has structure does not match, though the two would unify
+    open_goal = golden.names.fresh_var("G")
+    golden.base.assert_prop(Bucket.COMMON_GROUND, mk("goal", Const("user"), open_goal))
+    golden.base.assert_prop(Bucket.COMMON_GROUND, mk("plan", Const("user"), Const("p1"), open_goal))
+    golden._apply_rules()
+    assert rule_numbers(golden.log.lines) == []
+
+
 def test_contributions_are_recorded_in_common_ground(golden):
     notes = run_golden_dialogue(golden)
     cg = [canon(i) for i in golden.base.items(Bucket.COMMON_GROUND)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from collections import Counter
@@ -350,6 +351,29 @@ def test_cli_run_exit_one_on_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("act", ["s-accept()", "s-reject()", "s-postpone()", "s-actions()"])
+def test_cli_run_a_meta_act_without_arguments_is_not_understood(tmp_path, capsys, act):
+    bare = tmp_path / "bare.scn"
+    bare.write_text(f"objects: a\nturns:\n  user: {act}\n")
+    assert main(["run", str(bare), "--trace"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "inferred nothing" in out
+    assert out[-2] == "not understood: that is about no plan I know"
+    assert out[-1] == "dialogue ended unresolved"
+
+
+@pytest.mark.parametrize("acts", ["x", "X"])
+def test_cli_run_replacement_acts_that_are_not_a_list_are_not_understood(tmp_path, capsys, acts):
+    # in a clarification, replanning must not fall back to generating acts
+    text = (SCENARIO_DIR / "one_creature.scn").read_text()
+    hostile = tmp_path / "hostile.scn"
+    hostile.write_text(text + f"  user: s-actions(current, {acts})\n")
+    assert main(["run", str(hostile)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("not understood: ")
+    assert out[-1].startswith("dialogue complete: ")
+
+
 def test_cli_run_exit_two_on_scenario_error(tmp_path, capsys):
     broken = tmp_path / "broken.scn"
     broken.write_text("turns:\n  user: s-refer(entity1)\n")
@@ -474,6 +498,8 @@ FUZZ_MARKS = "()[],=_-$"
 FUZZ_CASES = 300
 # far above any case's run time (tens of ms); a case over it is a near-hang
 FUZZ_CASE_SECONDS = 2.0
+# sha256 over every case's transcript text, or its ScenarioError message
+FUZZ_DIGEST = "fc9899f34f91dbf3f59e7d20bbb1d5fbbadd794d413778a67bdd28c8d37b46f3"
 
 
 def mutate(text: str, rng: random.Random) -> str:
@@ -507,17 +533,23 @@ def test_mutated_scenarios_end_in_a_scenario_error_or_a_transcript():
     rng = random.Random(20261018)
     texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.scn"))]
     outcomes: Counter = Counter()
+    said = hashlib.sha256()
     for _ in range(FUZZ_CASES):
         text = mutate(rng.choice(texts), rng)
         start = perf_counter()
         try:
             transcript = run_text(text)
-        except ScenarioError:
+        except ScenarioError as err:
             outcomes["rejected"] += 1
+            said.update(f"error: {err}\n".encode())
         else:
+            said.update(transcript.text().encode())
             resolved = transcript.resolution is not None
             outcomes["resolved" if resolved else "unresolved"] += 1
             assert not resolved or is_ground(transcript.resolution), text
         elapsed = perf_counter() - start
         assert elapsed < FUZZ_CASE_SECONDS, (elapsed, text)
     assert min(outcomes["rejected"], outcomes["resolved"], outcomes["unresolved"]) > 20, outcomes
+    # everything the engine said, pinned: any change to a transcript or an
+    # error message shows up here
+    assert said.hexdigest() == FUZZ_DIGEST
