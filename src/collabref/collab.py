@@ -272,8 +272,9 @@ class MentalState:
         if drawn is not None:
             self._assert(rule.bucket, drawn)
         if rule.retract is not None:
+            stale = self._instance(rule.retract, b)
             for bucket in (Bucket.PRIVATE, Bucket.USER_MODEL, Bucket.COMMON_GROUND):
-                self._retract(bucket, self._instance(rule.retract, b))
+                self._retract(bucket, stale)
         if rule.action is not None:
             rule.action(self, b)
         return drawn
@@ -331,11 +332,8 @@ class MentalState:
 
     def resolution(self) -> Term | None:
         """The mutually believed achievement of the plan under discussion."""
-        if self.scope is None:
-            return None
-        scoped = {"P": Const(self.scope)}
         for _, prop in self.base.filed(Bucket.COMMON_GROUND, _ACHIEVED):
-            if _match(_ACHIEVED, prop, dict(scoped)):
+            if self.scope is not None and _match(_ACHIEVED, prop, {"P": Const(self.scope)}):
                 return prop
         return None
 
