@@ -35,16 +35,16 @@ from dataclasses import dataclass, field
 from .beliefs import BeliefBase, Perspective, SYSTEM
 from .errors import NoPlanError, PlanError
 from .plans import (
-    Item,
     ItemKind,
     NodeRecord,
     PlanDerivation,
     PlanStatus,
     find_covering_node,
+    items_of,
     substitute_node,
     unify_bridged,
 )
-from .schemas import ActionSchema, SchemaLibrary, StepKind, check_primitive_act
+from .schemas import ActionSchema, SchemaLibrary, Step, StepKind, check_primitive_act
 from .terms import (
     Compound,
     Const,
@@ -121,6 +121,17 @@ class PlannerContext:
             return self.registry[pid]
         except KeyError:
             raise PlanError(f"unknown plan {pid}") from None
+
+    def judge(self, plan: PlanDerivation, bindings: Substitution, error_node: str | None = None) -> None:
+        """Record a judgment of the plan: the node in error, or else the
+        referent it achieves (the whole root content for a non-referring plan)."""
+        if error_node is not None:
+            self.plan_judgments[plan.id] = ("error", error_node)
+            return
+        content = bindings.resolve(plan.nodes[plan.root].content)
+        if isinstance(content, Compound) and content.functor == "refer":
+            content = content.args[1]
+        self.plan_judgments[plan.id] = ("achieve", content)
 
 
 # ---------------------------------------------------------------------------
@@ -365,66 +376,21 @@ def _replan_recognize(
         if s0 is None:
             continue
         for children, s1 in _match_steps(instance, 0, acts, s0, ctx):
-            _graft(target, hole, choice, instance, children, ctx)
+            _materialize_node(_TmpNode(choice, instance, children), target.nodes, ctx, hole)
             target.bindings = s1
             target.status = PlanStatus.COMPLETE
             verdict = evaluate(target, ctx)
+            ctx.judge(target, verdict.bindings, verdict.error_node)
             if verdict.valid:
-                referent = _referent_of(target, verdict.bindings)
-                ctx.plan_judgments[target.id] = ("achieve", referent)
                 target.bindings = verdict.bindings
                 return [s1.merge(verdict.bindings)]
-            ctx.plan_judgments[target.id] = ("error", verdict.error_node)
             return [s1]
     return []
-
-
-def _referent_of(plan: PlanDerivation, s: Substitution) -> Term:
-    content = s.resolve(plan.nodes[plan.root].content)
-    if isinstance(content, Compound) and content.functor == "refer":
-        return content.args[1]
-    return content
-
-
-def _graft(
-    plan: PlanDerivation,
-    hole: str,
-    schema_name: str,
-    instance: ActionSchema,
-    children: list,
-    ctx: PlannerContext,
-) -> None:
-    items, _ = _materialize_items(instance, children, plan.nodes, ctx)
-    plan.nodes[hole] = NodeRecord(
-        name=hole,
-        schema=schema_name,
-        content=instance.head,
-        items=items,
-        primitive=False,
-        expanded=True,
-    )
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-def _walk_items(plan: PlanDerivation) -> list[tuple[str, Term]]:
-    out: list[tuple[str, Term]] = []
-
-    def walk(name: str) -> None:
-        rec = plan.nodes[name]
-        if rec.primitive:
-            return
-        for item in rec.items:
-            if item.kind is ItemKind.CHILD:
-                walk(item.child)
-            else:
-                out.append((name, item.term))
-
-    walk(plan.root)
-    return out
-
 
 def _assumable(term: Term, s: Substitution, ctx: PlannerContext, plan: PlanDerivation) -> bool:
     """A zero-solution constraint survives when the utterance asserts it:
@@ -448,7 +414,7 @@ def evaluate(
     a pass commits nothing. In a clarification an unprovable belief of the
     speaker's that their utterance asserts anyway is taken on trust."""
     s = plan.bindings
-    pending = _walk_items(plan)
+    pending = [(owner, i.term) for owner, i in plan.walk() if i.kind is not ItemKind.CHILD]
     # the pass in step order is always followed by a pass over what it deferred
     first = progress = True
     while pending and progress:
@@ -490,11 +456,14 @@ def _match_steps(instance, i, span, s, ctx):
     from the instance's steps i onwards.
 
     A schema choice, or a split of the span, that leaves some part fewer
-    acts than it yields at the least is never tried: it could derive
-    nothing, so the same parses come out in the same order.
+    acts than it yields at the least or more than it yields at the most
+    is never tried: it could derive nothing, so the same parses come out
+    in the same order. A step whose schema cannot recurse takes exactly
+    as many acts as it can yield, so a run of n absolute modifiers costs
+    O(n^2) calls where trying every split would cost O(2^n).
     """
-    steps, least = instance.steps, ctx.library.least_from
-    if least[instance.name][i] > len(span):
+    steps, least, most = instance.steps, ctx.library.least_from, ctx.library.most_from
+    if not least[instance.name][i] <= len(span) <= most[instance.name][i]:
         return
     if i == len(steps):
         if not span:
@@ -513,16 +482,17 @@ def _match_steps(instance, i, span, s, ctx):
     expected = s.resolve(head.term)
     if not isinstance(expected, Compound):
         return
-    room = len(span) - least[instance.name][i + 1]
+    rest_least, rest_most = least[instance.name][i + 1], most[instance.name][i + 1]
     for choice in _concrete_choices(expected.functor, ctx.library):
-        fewest = least[choice][0] if choice in least else 0
-        if fewest > room:
+        fewest, most_child = (least[choice][0], most[choice][0]) if choice in least else (0, len(span))
+        lo, hi = max(fewest, len(span) - rest_most), min(most_child, len(span) - rest_least)
+        if lo > hi:
             continue
         child = ctx.library.get(choice).instantiate(ctx.names)
         s2 = unify_bridged(expected, child.head, s, ctx.library)
         if s2 is None:
             continue
-        for take in range(fewest, room + 1):
+        for take in range(lo, hi + 1):
             for kids, s3 in _match_steps(child, 0, span[:take], s2, ctx):
                 node = _TmpNode(choice, child, kids)
                 for others, s4 in _match_steps(instance, i + 1, span[take:], s3, ctx):
@@ -535,32 +505,22 @@ def _parse_with_root(root_schema: str, acts: list[Term], ctx: PlannerContext):
         yield _TmpNode(root_schema, instance, kids), s
 
 
-def _materialize_items(
-    instance: ActionSchema, children: list, nodes: dict[str, NodeRecord], ctx: PlannerContext
-) -> tuple[tuple[Item, ...], int]:
-    items: list[Item] = []
-    child_i = 0
-    for step in instance.steps:
-        if step.kind is StepKind.CONSTRAINT:
-            items.append(Item(ItemKind.CONSTRAINT, term=step.term))
-        elif step.kind is StepKind.MENTAL:
-            items.append(Item(ItemKind.MENTAL, term=step.term))
-        elif step.kind is StepKind.PRIMITIVE:
-            name = ctx.names.node_name().name
-            nodes[name] = NodeRecord(name, "primitive", step.term, (), True, True)
-            items.append(Item(ItemKind.CHILD, child=name))
-        else:
-            child = children[child_i]
-            child_i += 1
-            name = _materialize_node(child, nodes, ctx)
-            items.append(Item(ItemKind.CHILD, child=name))
-    return tuple(items), child_i
+def _materialize_node(
+    tmp: _TmpNode, nodes: dict[str, NodeRecord], ctx: PlannerContext, name: str | None = None
+) -> str:
+    """Record a parse node and its subtree in nodes, under the given name
+    or a fresh one, minting the subtree's names in step order."""
+    name = name or ctx.names.node_name().name
+    kids = iter(tmp.children)
 
+    def child(step: Step) -> str:
+        if step.kind is StepKind.ACTION:
+            return _materialize_node(next(kids), nodes, ctx)
+        leaf = ctx.names.node_name().name
+        nodes[leaf] = NodeRecord(leaf, "primitive", step.term, (), True, True)
+        return leaf
 
-def _materialize_node(tmp: "_TmpNode", nodes: dict[str, NodeRecord], ctx: PlannerContext) -> str:
-    name = ctx.names.node_name().name
-    items, _ = _materialize_items(tmp.instance, tmp.children, nodes, ctx)
-    nodes[name] = NodeRecord(name, tmp.schema, tmp.instance.head, items, False, True)
+    nodes[name] = NodeRecord(name, tmp.schema, tmp.instance.head, items_of(tmp.instance.steps, child), False, True)
     return name
 
 
@@ -683,10 +643,7 @@ def infer(
         result = evaluate(plan, ctx, bool(meta))
         plan.bindings = result.bindings
         if not meta:
-            if result.valid:
-                ctx.plan_judgments[plan.id] = ("achieve", _referent_of(plan, result.bindings))
-            else:
-                ctx.plan_judgments[plan.id] = ("error", result.error_node)
+            ctx.judge(plan, result.bindings, result.error_node)
         candidates.append((plan, result))
     valid = [(p, r) for p, r in candidates if r.valid]
     if len(valid) == 1:
@@ -774,36 +731,26 @@ class _Search:
                     continue
             st = state.fork()
             st.s = s2
-            items: list[Item] = []
-            prepend: list = []
-            for step in instance.steps:
-                if step.kind is StepKind.CONSTRAINT or step.kind is StepKind.MENTAL:
-                    items.append(Item(
-                        ItemKind.CONSTRAINT if step.kind is StepKind.CONSTRAINT else ItemKind.MENTAL,
-                        term=step.term,
-                    ))
-                    prepend.append(("prove", name, step.term))
-                elif step.kind is StepKind.PRIMITIVE:
-                    child = self.ctx.names.node_name().name
-                    st.nodes[child] = NodeRecord(child, "primitive", step.term, (), True, True)
-                    items.append(Item(ItemKind.CHILD, child=child))
-                    st.prims += 1
-                    prepend.append(("emit", child))
-                else:
-                    child = self.ctx.names.node_name().name
-                    st.nodes[child] = NodeRecord(
-                        child, "?", step.term, (), False, False
-                    )
-                    step_term = state.s.walk(step.term)
-                    bump = 1 if (
-                        isinstance(step_term, Compound) and step_term.functor == "refer"
-                    ) else 0
-                    st.depths[child] = state.depths.get(name, 0) + bump
-                    items.append(Item(ItemKind.CHILD, child=child))
-                    prepend.append(("expand", child))
-            st.nodes[name] = NodeRecord(name, choice, instance.head, tuple(items), False, True)
-            st.queue = tuple(prepend) + st.queue
+            items = items_of(instance.steps, lambda step: self._open(st, name, step))
+            st.nodes[name] = NodeRecord(name, choice, instance.head, items, False, True)
+            st.queue = tuple(
+                ("prove", name, i.term) if i.kind is not ItemKind.CHILD
+                else ("emit", i.child) if st.nodes[i.child].primitive
+                else ("expand", i.child)
+                for i in items
+            ) + st.queue
             self.push(st)
+
+    def _open(self, st: _BuildState, parent: str, step: Step) -> str:
+        """A new node for a primitive or action step of the parent's schema."""
+        child = self.ctx.names.node_name().name
+        if step.kind is StepKind.PRIMITIVE:
+            st.nodes[child] = NodeRecord(child, "primitive", step.term, (), True, True)
+            st.prims += 1
+        else:
+            st.nodes[child] = NodeRecord(child, "?", step.term, (), False, False)
+            st.depths[child] = st.depths.get(parent, 0) + (step.term.functor == "refer")
+        return child
 
     def _prove(self, state: _BuildState, owner: str, term: Term) -> None:
         t = state.s.walk(term)
@@ -886,20 +833,17 @@ def modifier_keys_of(plan: PlanDerivation) -> frozenset:
 
 
 def _refer_depths(plan: PlanDerivation) -> dict[str, int]:
-    depths: dict[str, int] = {}
+    """How many refer nodes lie on the path from the root to each node,
+    the node itself included."""
 
-    def walk(name: str, depth: int) -> None:
-        rec = plan.nodes[name]
-        content = plan.bindings.resolve(rec.content)
-        here = depth
-        if isinstance(content, Compound) and content.functor == "refer":
-            here += 1
-        depths[name] = here
-        for item in rec.items:
-            if item.kind is ItemKind.CHILD:
-                walk(item.child, here)
+    def bump(name: str) -> int:
+        content = plan.bindings.resolve(plan.nodes[name].content)
+        return int(isinstance(content, Compound) and content.functor == "refer")
 
-    walk(plan.root, 0)
+    depths = {plan.root: bump(plan.root)}
+    for owner, i in plan.walk():
+        if i.kind is ItemKind.CHILD:
+            depths[i.child] = depths[owner] + bump(i.child)
     return depths
 
 
@@ -942,7 +886,7 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
     )
     ctx.register(plan)
     if final.nodes[final.root].schema == "refer":
-        ctx.plan_judgments[plan.id] = ("achieve", _referent_of(plan, final.s))
+        ctx.judge(plan, final.s)
     return plan
 
 
@@ -965,5 +909,5 @@ def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDer
     partial.status = PlanStatus.COMPLETE
     added = [final.s.resolve(final.nodes[n].content) for n in final.emitted]
     if partial.nodes[partial.root].schema == "refer":
-        ctx.plan_judgments[partial.id] = ("achieve", _referent_of(partial, final.s))
+        ctx.judge(partial, final.s)
     return partial, added

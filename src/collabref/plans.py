@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import PlanError
-from .schemas import SchemaLibrary, StepKind
+from .schemas import SchemaLibrary, Step, StepKind
 from .terms import (
     Compound,
     Const,
@@ -71,37 +72,33 @@ class PlanDerivation:
     def content_of(self, name: str) -> Term:
         return self.bindings.resolve(self.node(name).content)
 
+    def walk(self, name: str | None = None) -> list[tuple[str, Item]]:
+        """(owner, item) for every item under a node, in step order; a
+        child's items come right after the item that names that child."""
+        out: list[tuple[str, Item]] = []
+
+        def visit(owner: str) -> None:
+            for item in self.nodes[owner].items:
+                out.append((owner, item))
+                if item.kind is ItemKind.CHILD:
+                    visit(item.child)
+
+        visit(name or self.root)
+        return out
+
     def action_nodes(self) -> list[str]:
         """Non-primitive node names, pre-order."""
-        out: list[str] = []
-
-        def walk(name: str) -> None:
-            rec = self.nodes[name]
-            if rec.primitive:
-                return
-            out.append(name)
-            for item in rec.items:
-                if item.kind is ItemKind.CHILD:
-                    walk(item.child)
-
-        walk(self.root)
-        return out
+        return [self.root] + [
+            i.child for _, i in self.walk() if i.kind is ItemKind.CHILD and not self.nodes[i.child].primitive
+        ]
 
     def yield_node_names(self, name: str | None = None) -> list[str]:
         """Names of primitive leaves under a node, in utterance order."""
-        out: list[str] = []
-
-        def walk(n: str) -> None:
-            rec = self.nodes[n]
-            if rec.primitive:
-                out.append(n)
-                return
-            for item in rec.items:
-                if item.kind is ItemKind.CHILD:
-                    walk(item.child)
-
-        walk(name or self.root)
-        return out
+        if name is not None and self.nodes[name].primitive:
+            return [name]
+        return [
+            i.child for _, i in self.walk(name) if i.kind is ItemKind.CHILD and self.nodes[i.child].primitive
+        ]
 
     def yield_of(self, name: str | None = None) -> list[Term]:
         return [self.content_of(n) for n in self.yield_node_names(name)]
@@ -154,35 +151,29 @@ def find_covering_node(
             cur = nxt
         if cur is not None:
             matches.append((name, cur))
-    if not matches:
-        return None
-    # keep only matches with no matching descendant; pre-order listing means
-    # a descendant always appears later than its ancestor
+    # keep only matches with no matching descendant
     names = {n for n, _ in matches}
-    deepest: list[tuple[str, Substitution]] = []
-    for name, sub in matches:
-        has_deeper = False
-        for item in plan.nodes[name].items:
-            if item.kind is ItemKind.CHILD and _subtree_hits(plan, item.child, names):
-                has_deeper = True
-                break
-        if not has_deeper:
-            deepest.append((name, sub))
+    deepest = [
+        (name, sub) for name, sub in matches
+        if not any(i.kind is ItemKind.CHILD and i.child in names for _, i in plan.walk(name))
+    ]
     if len(deepest) != 1:
         return None
     return deepest[0]
 
 
-def _subtree_hits(plan: PlanDerivation, name: str, targets: set[str]) -> bool:
-    rec = plan.nodes[name]
-    if rec.primitive:
-        return False
-    if name in targets:
-        return True
-    for item in rec.items:
-        if item.kind is ItemKind.CHILD and _subtree_hits(plan, item.child, targets):
-            return True
-    return False
+def items_of(steps: tuple[Step, ...], child: Callable[[Step], str]) -> tuple[Item, ...]:
+    """A schema's steps as plan items. child(step) names the node of each
+    primitive or action step; it is called once for each, in step order."""
+    return tuple([
+        Item(ItemKind.CONSTRAINT, term=st.term) if st.kind is StepKind.CONSTRAINT
+        else Item(ItemKind.MENTAL, term=st.term) if st.kind is StepKind.MENTAL
+        else Item(ItemKind.CHILD, child=child(st))
+        for st in steps
+    ])
+
+
+_NODE_STEPS = (StepKind.PRIMITIVE, StepKind.ACTION)
 
 
 def substitute_node(
@@ -243,21 +234,12 @@ def substitute_node(
             s = s2
         if old_name == plan.root:
             root_effect = schema.effect
-        items: list[Item] = []
-        old_children = [i.child for i in old.items if i.kind is ItemKind.CHILD]
-        child_i = 0
-        for step in schema.steps:
-            if step.kind is StepKind.CONSTRAINT:
-                items.append(Item(ItemKind.CONSTRAINT, term=step.term))
-            elif step.kind is StepKind.MENTAL:
-                items.append(Item(ItemKind.MENTAL, term=step.term))
-            else:
-                child_name = rebuild(old_children[child_i], step.term)
-                child_i += 1
-                items.append(Item(ItemKind.CHILD, child=child_name))
-        if child_i != len(old_children):
+        kids = [i.child for i in old.items if i.kind is ItemKind.CHILD]
+        if len(kids) != sum(st.kind in _NODE_STEPS for st in schema.steps):
             raise PlanError(f"node {old_name} child count changed during rebuild")
-        new_nodes[old_name] = NodeRecord(old_name, old.schema, schema.head, tuple(items), False, True)
+        kept = iter(kids)
+        items = items_of(schema.steps, lambda step: rebuild(next(kept), step.term))
+        new_nodes[old_name] = NodeRecord(old_name, old.schema, schema.head, items, False, True)
         return old_name
 
     rebuild(plan.root, None)

@@ -24,9 +24,9 @@ reaches, and no schema is ever used as it stands: `instantiate` copies it
 with a fresh variable, from the state's own `NameSource`, for each of its
 free variables, which each schema lists once. Variables have
 their own stream in a `NameSource`, so none of this moves a public plan or
-node id. The library also records, once, the fewest surface acts each
-schema can yield, which lets recognition skip act spans too short to
-derive.
+node id. The library also records, once, the fewest and the most surface
+acts each schema can yield, which lets recognition skip act spans too
+short or too long to derive.
 """
 
 from __future__ import annotations
@@ -126,39 +126,40 @@ class SchemaLibrary:
         for sc in schemas:
             if sc.specializes:
                 self.specializations.setdefault(sc.specializes, []).append(sc.name)
-        self.least_from = self._least_yields(schemas)
+        self.least_from = self._yields(schemas, min, 0)
+        self.most_from = self._yields(schemas, max, _UNBOUNDED)
 
-    def _least_yields(self, schemas: list[ActionSchema]) -> dict[str, tuple[int, ...]]:
-        """For each schema, the fewest surface acts its steps from i on can
-        yield, for each i up to and including len(steps). An abstract
-        schema, which has no steps, gets its cheapest specialization's.
-        Relaxed from "unbounded" until nothing changes, since schemas
-        recurse."""
-        least = {sc.name: _UNBOUNDED for sc in schemas}
+    def _yields(self, schemas: list[ActionSchema], pick, unknown: int) -> dict[str, tuple[int, ...]]:
+        """For each schema, the fewest (pick=min) or the most (pick=max)
+        surface acts its steps from i on can yield, for each i up to and
+        including len(steps). An abstract schema, which has no steps, gets
+        the pick of its specializations'; an action naming no schema counts
+        as unknown. Relaxed down from unbounded until nothing changes, since
+        schemas recurse; so the most is exact where no recursive schema is
+        reachable and stays unbounded where one is."""
+        best = {sc.name: _UNBOUNDED for sc in schemas}
 
         def cost(st: Step) -> int:
-            if st.kind is StepKind.PRIMITIVE:
-                return 1
             if st.kind is StepKind.ACTION:
-                return least.get(st.term.functor, 0)
-            return 0
+                return best.get(st.term.functor, unknown)
+            return int(st.kind is StepKind.PRIMITIVE)
 
         changed = True
         while changed:
             changed = False
             for sc in schemas:
                 if sc.abstract:
-                    new = min((least[n] for n in self.specializations.get(sc.name, ())), default=_UNBOUNDED)
+                    new = pick((best[n] for n in self.specializations.get(sc.name, ())), default=_UNBOUNDED)
                 else:
-                    new = sum(cost(st) for st in sc.steps)
-                if new < least[sc.name]:
-                    least[sc.name], changed = new, True
+                    new = min(_UNBOUNDED, sum(cost(st) for st in sc.steps))
+                if new < best[sc.name]:
+                    best[sc.name], changed = new, True
         out = {}
         for sc in schemas:
             suffix = [0]
             for st in reversed(sc.steps):
-                suffix.append(suffix[-1] + cost(st))
-            out[sc.name] = (least[sc.name],) if sc.abstract else tuple(reversed(suffix))
+                suffix.append(min(_UNBOUNDED, suffix[-1] + cost(st)))
+            out[sc.name] = (best[sc.name],) if sc.abstract else tuple(reversed(suffix))
         return out
 
     def get(self, name: str) -> ActionSchema:

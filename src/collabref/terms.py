@@ -498,44 +498,13 @@ class TermReader:
             raise TermSyntaxError("unexpected end of input")
         tok = tokens[pos]
         if tok == "[":
-            items: list[Term] = []
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == "]":
-                return ListTerm(()), pos + 1
-            while True:
-                item, pos = self._parse(tokens, pos, depth + 1)
-                item, pos = self._maybe_eq(item, tokens, pos, depth + 1)
-                items.append(item)
-                if pos >= len(tokens):
-                    raise TermSyntaxError("unterminated list")
-                if tokens[pos] == ",":
-                    pos += 1
-                    continue
-                if tokens[pos] == "]":
-                    return ListTerm(tuple(items)), pos + 1
-                raise TermSyntaxError(f"expected , or ] but got {tokens[pos]!r}")
+            items, pos = self._sequence(tokens, pos + 1, depth, "]", "list")
+            return ListTerm(tuple(items)), pos
         if tok in ("(", ")", "]", ",", "="):
             raise TermSyntaxError(f"unexpected {tok!r}")
         # word token
         if pos + 1 < len(tokens) and tokens[pos + 1] == "(":
-            args: list[Term] = []
-            pos += 2
-            if pos < len(tokens) and tokens[pos] == ")":
-                pos += 1
-            else:
-                while True:
-                    arg, pos = self._parse(tokens, pos, depth + 1)
-                    arg, pos = self._maybe_eq(arg, tokens, pos, depth + 1)
-                    args.append(arg)
-                    if pos >= len(tokens):
-                        raise TermSyntaxError("unterminated argument list")
-                    if tokens[pos] == ",":
-                        pos += 1
-                        continue
-                    if tokens[pos] == ")":
-                        pos += 1
-                        break
-                    raise TermSyntaxError(f"expected , or ) but got {tokens[pos]!r}")
+            args, pos = self._sequence(tokens, pos + 2, depth, ")", "argument list")
             if tok == "lambda":
                 return self._mk_lambda(args), pos
             return Compound(tok, tuple(args)), pos
@@ -546,6 +515,25 @@ class TermReader:
                 self.vars[tok] = self.names.fresh_var(tok)
             return self.vars[tok], pos + 1
         return Const(tok), pos + 1
+
+    def _sequence(
+        self, tokens: list[str], pos: int, depth: int, close: str, what: str
+    ) -> tuple[list[Term], int]:
+        """Comma-separated terms from pos up to and past the close token."""
+        items: list[Term] = []
+        if pos < len(tokens) and tokens[pos] == close:
+            return items, pos + 1
+        while True:
+            item, pos = self._parse(tokens, pos, depth + 1)
+            item, pos = self._maybe_eq(item, tokens, pos, depth + 1)
+            items.append(item)
+            if pos >= len(tokens):
+                raise TermSyntaxError(f"unterminated {what}")
+            if tokens[pos] == close:
+                return items, pos + 1
+            if tokens[pos] != ",":
+                raise TermSyntaxError(f"expected , or {close} but got {tokens[pos]!r}")
+            pos += 1
 
     def _mk_lambda(self, args: list[Term]) -> Lam:
         if len(args) not in (2, 3):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from collabref import (
     Bucket,
     Const,
     NoPlanError,
+    NotUnderstoodError,
     NameSource,
     Perspective,
     QueryError,
@@ -425,6 +427,46 @@ def test_construction_respects_the_nesting_depth_cap():
         construct(ms.ctx, system_refer_goal(ms, "a1"))
 
 
+def describe_and_hear(world, facts, target):
+    """The acts construction builds for the target over these common-ground
+    facts (or the refusal), and the event log of a fresh hearer holding the
+    same facts who reads them."""
+    kwargs = dict(modifier_preds=world.preds(), rel_preds=world.rel_preds(), pick_order=world.objects)
+    speaker = make_state(world.objects, facts, **kwargs)
+    speaker.ctx.persp = Perspective("system", "user")
+    try:
+        acts = [format_term(a) for a in construct(speaker.ctx, system_refer_goal(speaker, target)).yield_of()]
+    except NoPlanError as err:
+        return str(err), None
+    hearer = make_state(world.objects, facts, **kwargs)
+    reader = TermReader(hearer.names)
+    heard = [reader.read(a) for a in acts]
+    hearer.names.note_entity(heard[0].args[0].name)
+    try:
+        hearer.hearer_step(heard)
+    except NotUnderstoodError as err:
+        hearer.log.add(f"not understood: {err}")
+    return acts, hearer.log.lines
+
+
+def test_common_ground_fact_order_changes_no_description_or_reading():
+    rng = random.Random(20261018)
+    described = relational = 0
+    for trial in range(40):
+        # every other world has one attribute, which leaves relations work
+        world = worldgen.random_world(rng, max_preds=1 + 3 * (trial % 2), max_rels=2)
+        facts = world.fact_lines()
+        target = rng.choice(world.objects)
+        acts, log = describe_and_hear(world, facts, target)
+        if log is not None:
+            described += 1
+            relational += any(a.startswith("s-attrib-rel(") for a in acts)
+        for _ in range(2):
+            shuffled = rng.sample(facts, len(facts))
+            assert describe_and_hear(world, shuffled, target) == (acts, log), (world, target, shuffled)
+    assert described >= 20 and relational >= 2, (described, relational)
+
+
 def test_construction_resolves_repair_plan_ids_in_the_effect():
     # regression guard: variables living only in the communicated effect
     # must still pick up bindings made while proving the body
@@ -759,7 +801,79 @@ def test_recognition_skips_only_splits_that_derive_nothing(monkeypatch):
     pruned_calls, calls = calls, 0
     least = ctx.library.least_from
     monkeypatch.setattr(ctx.library, "least_from", {n: (0,) * len(ys) for n, ys in least.items()})
+    monkeypatch.setattr(ctx.library, "most_from", {n: (1 << 30,) * len(ys) for n, ys in least.items()})
     full = [[parse_signatures(ctx, root, acts) for root in roots] for acts in cases]
     assert pruned == full
     assert sum(len(p) for by_root in pruned for p in by_root) >= 15
     assert pruned_calls * 2 < calls
+
+
+# Wall-clock bound on understanding one long turn, generous for a slow host.
+LONG_TURN_SECONDS = 2.0
+
+
+class CountedHearing:
+    """Hears a turn, counting `_match_steps` calls and failing as soon as
+    they pass a budget, so an exponential parse fails fast instead of hanging."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.budget = 0
+        real_match_steps = planner._match_steps
+
+        def counting(*args):
+            self.calls += 1
+            if self.calls > self.budget:
+                pytest.fail(f"more than {self.budget} _match_steps calls")
+            return real_match_steps(*args)
+
+        monkeypatch.setattr(planner, "_match_steps", counting)
+
+    def hear(self, ms, lines, budget):
+        reader = TermReader(ms.names)
+        acts = [reader.read(line) for line in lines]
+        for act in acts:
+            if act.functor == "s-refer":
+                ms.names.note_entity(act.args[0].name)
+        self.calls, self.budget = 0, budget
+        began = time.perf_counter()
+        result = ms.hearer_step(acts)
+        assert time.perf_counter() - began < LONG_TURN_SECONDS
+        assert result.kind is Verdict.UNDERSTOOD
+        assert ms.ctx.plan_judgments[result.plan.id] == ("achieve", Const("obj1"))
+        return self.calls
+
+
+def test_recognition_calls_grow_at_most_quadratically_with_modifiers(monkeypatch):
+    hearing = CountedHearing(monkeypatch)
+    counts = {}
+    for k in (10, 20, 40):
+        # one entity, a head noun and k absolute modifiers, all true of obj1
+        preds = [f"a{j}" for j in range(k)]
+        ms = make_state(
+            ["obj1", "obj2"],
+            ["category(obj1, creature)", "category(obj2, creature)"] + [f"{p}(obj1, yes)" for p in preds],
+            modifier_preds=preds,
+        )
+        lines = ["s-refer(entity1)"] + [f"s-attrib(entity1, lambda(X, {p}(X, yes)))" for p in preds]
+        lines.append("s-attrib(entity1, lambda(X, category(X, creature)))")
+        counts[k] = hearing.hear(ms, lines, 4 * k * k)
+    # doubling the turn at most quadruples the work
+    assert counts[20] < 4.2 * counts[10] and counts[40] < 4.2 * counts[20], counts
+
+
+def test_recognition_of_relational_modifiers_stays_polynomial(monkeypatch):
+    hearing = CountedHearing(monkeypatch)
+    counts = {}
+    for k in (4, 8):
+        # obj1 relates to k objects, each named by its own category; a
+        # nested refer can recurse, so every split of its span is tried
+        facts = ["category(obj1, creature)", "category(obj2, creature)"]
+        facts += [f"category(o{j}, c{j})" for j in range(k)] + [f"r{j}(obj1, o{j})" for j in range(k)]
+        ms = make_state(["obj1", "obj2"] + [f"o{j}" for j in range(k)], facts, rel_preds=[f"r{j}" for j in range(k)])
+        lines = ["s-refer(entity1)", "s-attrib(entity1, lambda(X, category(X, creature)))"]
+        for j in range(k):
+            lines += [f"s-attrib-rel(entity1, e{j}, lambda(X, Y, r{j}(X, Y)))", f"s-refer(e{j})",
+                      f"s-attrib(e{j}, lambda(X, category(X, c{j})))"]
+        counts[k] = hearing.hear(ms, lines, len(lines) ** 3 // 2)
+    # doubling k less than doubles the turn, and cubic growth at most octuples the work
+    assert counts[8] < 8 * counts[4], counts

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from collabref import (
@@ -102,6 +104,34 @@ def test_action_nodes_walk_skips_primitives():
     assert all(not plan.node(n).primitive for n in actions)
     schemas = {plan.node(n).schema for n in actions}
     assert {"refer", "describe", "headnoun"} <= schemas
+
+
+def test_walk_puts_a_childs_items_right_after_the_item_naming_it():
+    plan = build_refer(referring_state(rel=True), "a1")
+    expected = []
+
+    def visit(name):
+        for item in plan.nodes[name].items:
+            expected.append((name, item))
+            if item.kind is ItemKind.CHILD:
+                visit(item.child)
+
+    visit(plan.root)
+    assert list(plan.walk()) == expected
+    leaf = plan.yield_node_names()[0]
+    assert list(plan.walk(leaf)) == []
+    assert plan.yield_of(leaf) == [plan.content_of(leaf)]
+
+
+def test_substitute_node_rejects_a_node_whose_children_no_longer_fit_its_schema():
+    ms = referring_state()
+    plan = build_refer(ms, "a1")
+    by_schema = {plan.node(n).schema: n for n in plan.action_nodes()}
+    describe = plan.nodes[by_schema["describe"]]
+    plan.nodes[describe.name] = dataclasses.replace(describe, items=describe.items[:-1])
+    head = by_schema["headnoun"]
+    with pytest.raises(PlanError, match="child count changed"):
+        substitute_node(plan, head, plan.content_of(head), ms.ctx.library, ms.names)
 
 
 def test_find_covering_node_full_single_and_none():

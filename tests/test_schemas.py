@@ -208,3 +208,19 @@ def test_least_yields_count_the_cheapest_derivation(names):
     assert first["accept-plan"] == first["replace-plan"] == 1
     # speaker, hearer, knowref, s-refer, describe, and the end
     assert least["refer"] == (2, 2, 2, 2, 1, 0)
+
+
+def test_most_yields_are_exact_only_where_nothing_recursive_is_reachable(names):
+    lib = build_library(names)
+    least, most = lib.least_from, lib.most_from
+    unbounded = {name for name, ys in most.items() if ys[0] >= 1 << 30}
+    # modifiers recurse, and a relative modifier nests a refer, which holds modifiers
+    assert unbounded == {"refer", "describe", "modifiers", "modifiers-recurse", "modifier", "modifier-relative"}
+    assert most["headnoun"][0] == most["modifier-absolute"][0] == 1
+    assert most["modifiers-terminate"] == (0, 0)
+    assert most["accept-plan"][0] == most["replace-plan"][0] == 1
+    # from its describe step on, refer is unbounded; past its last step, nothing is left
+    assert most["refer"][-2:] == (1 << 30, 0)
+    for name, ys in most.items():
+        assert len(ys) == len(least[name])
+        assert all(lo <= hi for lo, hi in zip(least[name], ys))

@@ -465,6 +465,20 @@ def test_reader_rejects_malformed_input(names):
             read_term(bad, names)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("[a", "unterminated list"),
+    ("[a b]", "expected , or ] but got 'b'"),
+    ("[a)", "expected , or ] but got ')'"),
+    ("f(a", "unterminated argument list"),
+    ("f(a b)", "expected , or ) but got 'b'"),
+    ("f(a]", "expected , or ) but got ']'"),
+])
+def test_reader_names_the_sequence_it_could_not_close(names, bad, message):
+    with pytest.raises(TermSyntaxError) as err:
+        read_term(bad, names)
+    assert str(err.value) == message
+
+
 def test_canon_ignores_variable_names(names):
     t = read_term("f(A, g(A), B)", names)
     renamed = rename_apart(t, names)
