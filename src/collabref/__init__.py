@@ -29,7 +29,7 @@ from .planner import (
     evaluate,
     infer,
 )
-from .plans import PlanDerivation, PlanStatus
+from .plans import PlanDerivation
 from .scenario import Scenario, Transcript, build_state, load_scenario, run_scenario, run_text
 from .schemas import ActionSchema, SchemaLibrary, build_library
 from .terms import (
@@ -56,7 +56,7 @@ __all__ = [
     "QueryError", "ScenarioError", "TermSyntaxError",
     "EvaluationResult", "InferenceResult", "PlannerContext",
     "Verdict", "complete_plan", "construct", "evaluate", "infer",
-    "PlanDerivation", "PlanStatus",
+    "PlanDerivation",
     "Scenario", "Transcript", "build_state", "load_scenario", "run_scenario", "run_text",
     "ActionSchema", "SchemaLibrary", "build_library",
     "Compound", "Const", "Lam", "ListTerm", "NameSource", "Substitution",

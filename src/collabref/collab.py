@@ -159,10 +159,10 @@ class MentalState:
             self.log.add("inferred nothing")
         if result.kind is Verdict.NO_DERIVATION:
             raise NotUnderstoodError("no reading of that makes sense here")
+        if is_meta and not any(verdict.valid for _, verdict in result.candidates):
+            raise NotUnderstoodError("that clarification does not hold up")
         if result.kind is Verdict.AMBIGUOUS:
             raise NotUnderstoodError("too many readings of that make sense")
-        if result.kind is Verdict.ERROR_AT and is_meta:
-            raise NotUnderstoodError("that clarification does not hold up")
         plan = result.plan
         self._record_contribution(Contribution("user", plan.id, self._extract_goal(plan), acts))
         return result

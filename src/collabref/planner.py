@@ -21,8 +21,9 @@ the members some answer admits, so a filter costs one belief query
 however many candidates it reads. Construction copies only the schemas
 whose shared template effect unifies with the goal. Replanning is the
 two-faced one: with its act list unbound it completes the plan and emits
-acts (generation); with acts given it derives them instead (recognition),
-and its judgment of the repaired plan is kept for the dialogue layer.
+acts (generation); with acts given it derives them with the parse's own
+step instead (recognition), and its judgment of the repaired plan is kept
+for the dialogue layer. A plan's open nodes are read from its tree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .plans import (
     ItemKind,
     NodeRecord,
     PlanDerivation,
-    PlanStatus,
     find_covering_node,
     items_of,
     substitute_node,
@@ -92,8 +92,11 @@ class InferenceResult:
     kind: Verdict
     plan: PlanDerivation | None = None
     error_node: str | None = None
-    parse_count: int = 0
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = field(default_factory=list)
+
+    @property
+    def parse_count(self) -> int:
+        return len(self.candidates)
 
 
 class PlannerContext:
@@ -148,14 +151,17 @@ QUERY_FORMS = {
     "speaker", "hearer", "world", "bmb", "bel", "goal",
     "modifier-pred", "modifier-rel-pred",
 }
+# forms about a plan, by arity: each waits until its first argument names one
+PLAN_FORMS = {"yield": 3, "content": 3, "substitute": 4, "replan": 2}
 
 
 def solve(
     term: Term, s: Substitution, ctx: PlannerContext, clarifying: bool = False
 ) -> tuple[Outcome, list[Substitution]]:
-    """Solutions of one constraint. In a clarification (clarifying), replanning
-    only derives the given acts and records its verdict on the plan; acts that
-    are not a list derive nothing."""
+    """Solutions of one constraint. With clarifying on, as in every
+    evaluation, replanning only derives the given acts and records its
+    verdict on the plan; acts that are not a list derive nothing.
+    Construction solves with it off, so replanning completes the plan."""
     t = s.walk(term)
     if type(t) is not Compound:
         raise PlanError(f"cannot solve non-compound constraint {s.resolve(t)!r}")
@@ -163,6 +169,9 @@ def solve(
 
     if f in QUERY_FORMS:
         return Outcome.SOLS, ctx.base.query(t, ctx.persp, s)
+
+    if PLAN_FORMS.get(f) == len(t.args) and isinstance(s.walk(t.args[0]), Var):
+        return Outcome.DEFER, []
 
     if f == "knowref" and len(t.args) == 4:
         holder = s.walk(t.args[0])
@@ -218,13 +227,9 @@ def solve(
         return Outcome.SOLS, sols
 
     if f == "yield" and len(t.args) == 3:
-        if isinstance(s.walk(t.args[0]), Var):
-            return Outcome.DEFER, []
         return Outcome.SOLS, _solve_yield(t, s, ctx)
 
     if f == "content" and len(t.args) == 3:
-        if isinstance(s.walk(t.args[0]), Var):
-            return Outcome.DEFER, []
         target = _ref_plan(t.args[0], s, ctx)
         node = s.walk(t.args[1])
         if isinstance(node, Var):
@@ -242,8 +247,6 @@ def solve(
         return Outcome.SOLS, ([s2] if s2 is not None else [])
 
     if f == "substitute" and len(t.args) == 4:
-        if isinstance(s.walk(t.args[0]), Var):
-            return Outcome.DEFER, []
         target = _ref_plan(t.args[0], s, ctx)
         node = s.walk(t.args[1])
         if not isinstance(node, Const):
@@ -262,8 +265,6 @@ def solve(
         return Outcome.SOLS, ([s2] if s2 is not None else [])
 
     if f == "replan" and len(t.args) == 2:
-        if isinstance(s.walk(t.args[0]), Var):
-            return Outcome.DEFER, []
         return Outcome.SOLS, _solve_replan(t, s, ctx, clarifying)
 
     raise PlanError(f"no solver for constraint {f}/{len(t.args)}")
@@ -306,10 +307,8 @@ def _admitted(
 
 def _pick_ordered(members: tuple[Term, ...], pick_order: list[str]) -> list[Term]:
     ranked = {name: i for i, name in enumerate(pick_order)}
-    first = [m for m in members if isinstance(m, Const) and m.name in ranked]
-    first.sort(key=lambda m: ranked[m.name])
-    rest = [m for m in members if not (isinstance(m, Const) and m.name in ranked)]
-    return first + rest
+    last = len(ranked)
+    return sorted(members, key=lambda m: ranked.get(m.name, last) if isinstance(m, Const) else last)
 
 
 def _ref_plan(t: Term, s: Substitution, ctx: PlannerContext) -> PlanDerivation:
@@ -341,7 +340,7 @@ def _solve_replan(
 ) -> list[Substitution]:
     target = _ref_plan(t.args[0], s, ctx)
     acts = s.resolve(t.args[1])
-    if target.status is PlanStatus.COMPLETE:
+    if not target.unexpanded():
         got = ListTerm(tuple(target.yield_of()))
         s2 = unify(t.args[1], got, s)
         return [s2] if s2 is not None else []
@@ -360,7 +359,8 @@ def _solve_replan(
 def _replan_recognize(
     target: PlanDerivation, acts: list[Term], s: Substitution, ctx: PlannerContext
 ) -> list[Substitution]:
-    """Derive the given acts from the plan's single unexpanded node."""
+    """Derive the given acts from the plan's single open node, with the
+    parse's own derivation step."""
     holes = target.unexpanded()
     if len(holes) != 1:
         raise PlanError(f"plan {target.id} has {len(holes)} open nodes, expected 1")
@@ -368,23 +368,15 @@ def _replan_recognize(
     content = target.bindings.resolve(target.nodes[hole].content)
     if not isinstance(content, Compound):
         raise PlanError(f"open node {hole} has no action content")
-    choices = _concrete_choices(content.functor, ctx.library)
-    work = s.merge(target.bindings)
-    for choice in choices:
-        instance = ctx.library.get(choice).instantiate(ctx.names)
-        s0 = unify_bridged(content, instance.head, work, ctx.library)
-        if s0 is None:
-            continue
-        for children, s1 in _match_steps(instance, 0, acts, s0, ctx):
-            _materialize_node(_TmpNode(choice, instance, children), target.nodes, ctx, hole)
-            target.bindings = s1
-            target.status = PlanStatus.COMPLETE
-            verdict = evaluate(target, ctx)
-            ctx.judge(target, verdict.bindings, verdict.error_node)
-            if verdict.valid:
-                target.bindings = verdict.bindings
-                return [s1.merge(verdict.bindings)]
-            return [s1]
+    for _, tmp, s1 in _derive(content, acts, s.merge(target.bindings), ctx, 0, 0):
+        _materialize_node(tmp, target.nodes, ctx, hole)
+        target.bindings = s1
+        verdict = evaluate(target, ctx)
+        ctx.judge(target, verdict.bindings, verdict.error_node)
+        if verdict.valid:
+            target.bindings = verdict.bindings
+            return [s1.merge(verdict.bindings)]
+        return [s1]
     return []
 
 
@@ -407,12 +399,10 @@ def _assumable(term: Term, s: Substitution, ctx: PlannerContext, plan: PlanDeriv
     return visit(effect, lambda hay, _: unify(t, hay, s) is not None)
 
 
-def evaluate(
-    plan: PlanDerivation, ctx: PlannerContext, clarifying: bool = False
-) -> EvaluationResult:
+def evaluate(plan: PlanDerivation, ctx: PlannerContext) -> EvaluationResult:
     """Judge a finished derivation; deferred constraints are retried until
-    a pass commits nothing. In a clarification an unprovable belief of the
-    speaker's that their utterance asserts anyway is taken on trust."""
+    a pass commits nothing. An unprovable belief of the speaker's that their
+    utterance asserts anyway is taken on trust."""
     s = plan.bindings
     pending = [(owner, i.term) for owner, i in plan.walk() if i.kind is not ItemKind.CHILD]
     # the pass in step order is always followed by a pass over what it deferred
@@ -421,13 +411,13 @@ def evaluate(
         progress, first = first, False
         deferred: list[tuple[str, Term]] = []
         for owner, term in pending:
-            kind, sols = solve(term, s, ctx, clarifying)
+            kind, sols = solve(term, s, ctx, True)
             if kind is Outcome.DEFER or len(sols) > 1:
                 deferred.append((owner, term))
                 continue
             if sols:
                 s = sols[0]
-            elif kind is Outcome.SOLS and not (clarifying and _assumable(term, s, ctx, plan)):
+            elif kind is Outcome.SOLS and not _assumable(term, s, ctx, plan):
                 return EvaluationResult(False, s, owner)
             progress = True
         pending = deferred
@@ -483,6 +473,17 @@ def _match_steps(instance, i, span, s, ctx):
     if not isinstance(expected, Compound):
         return
     rest_least, rest_most = least[instance.name][i + 1], most[instance.name][i + 1]
+    for take, node, s3 in _derive(expected, span, s, ctx, rest_least, rest_most):
+        for others, s4 in _match_steps(instance, i + 1, span[take:], s3, ctx):
+            yield [node] + others, s4
+
+
+def _derive(expected, span, s, ctx, rest_least, rest_most):
+    """Yield (take, node, substitution) for each derivation of the action
+    `expected` from the first `take` acts of the span, leaving the rest of
+    it between rest_least and rest_most acts: by schema choice, then take,
+    then parse. Recognition and replanning both derive through here."""
+    least, most = ctx.library.least_from, ctx.library.most_from
     for choice in _concrete_choices(expected.functor, ctx.library):
         fewest, most_child = (least[choice][0], most[choice][0]) if choice in least else (0, len(span))
         lo, hi = max(fewest, len(span) - rest_most), min(most_child, len(span) - rest_least)
@@ -494,9 +495,7 @@ def _match_steps(instance, i, span, s, ctx):
             continue
         for take in range(lo, hi + 1):
             for kids, s3 in _match_steps(child, 0, span[:take], s2, ctx):
-                node = _TmpNode(choice, child, kids)
-                for others, s4 in _match_steps(instance, i + 1, span[take:], s3, ctx):
-                    yield [node] + others, s4
+                yield take, _TmpNode(choice, child, kids), s3
 
 
 def _parse_with_root(root_schema: str, acts: list[Term], ctx: PlannerContext):
@@ -517,27 +516,11 @@ def _materialize_node(
         if step.kind is StepKind.ACTION:
             return _materialize_node(next(kids), nodes, ctx)
         leaf = ctx.names.node_name().name
-        nodes[leaf] = NodeRecord(leaf, "primitive", step.term, (), True, True)
+        nodes[leaf] = NodeRecord(leaf, "primitive", step.term)
         return leaf
 
-    nodes[name] = NodeRecord(name, tmp.schema, tmp.instance.head, items_of(tmp.instance.steps, child), False, True)
+    nodes[name] = NodeRecord(name, tmp.schema, tmp.instance.head, items_of(tmp.instance.steps, child))
     return name
-
-
-def _materialize_parse(tmp: _TmpNode, s: Substitution, ctx: PlannerContext) -> PlanDerivation:
-    nodes: dict[str, NodeRecord] = {}
-    pid = ctx.names.plan_name().name
-    root = _materialize_node(tmp, nodes, ctx)
-    plan = PlanDerivation(
-        id=pid,
-        root=root,
-        nodes=nodes,
-        bindings=s,
-        status=PlanStatus.COMPLETE,
-        root_effect=tmp.instance.effect,
-    )
-    ctx.register(plan)
-    return plan
 
 
 def _parse_signature(tmp: _TmpNode, s: Substitution) -> str:
@@ -613,48 +596,44 @@ def infer(
             check_primitive_act(act)
         except PlanError:
             return InferenceResult(Verdict.NO_DERIVATION)
-    meta = [a for a in acts if isinstance(a, Compound) and a.functor in META_ROOTS]
+    meta = any(isinstance(a, Compound) and a.functor in META_ROOTS for a in acts)
+    if meta and len(acts) != 1:
+        return InferenceResult(Verdict.NO_DERIVATION)
+    readings = (
+        [(root, acts) for root in META_ROOTS[acts[0].functor]] if meta
+        else [("refer", order) for order in canonical_orders(acts)]
+    )
+    about = Const(expected_plan) if meta and expected_plan is not None else None
     parses: list[tuple[_TmpNode, Substitution]] = []
     seen: set[str] = set()
-    if meta:
-        if len(acts) != 1:
-            return InferenceResult(Verdict.NO_DERIVATION)
-        for root in META_ROOTS[acts[0].functor]:
-            for tmp, s in _parse_with_root(root, acts, ctx):
-                pid = s.walk(tmp.instance.head.args[0])
-                if expected_plan is not None and pid != Const(expected_plan):
-                    continue
-                sig = _parse_signature(tmp, s)
-                if sig not in seen:
-                    seen.add(sig)
-                    parses.append((tmp, s))
-    else:
-        for order in canonical_orders(acts):
-            for tmp, s in _parse_with_root("refer", order, ctx):
-                sig = _parse_signature(tmp, s)
-                if sig not in seen:
-                    seen.add(sig)
-                    parses.append((tmp, s))
+    for root, order in readings:
+        for tmp, s in _parse_with_root(root, order, ctx):
+            if about is not None and s.walk(tmp.instance.head.args[0]) != about:
+                continue
+            sig = _parse_signature(tmp, s)
+            if sig not in seen:
+                seen.add(sig)
+                parses.append((tmp, s))
     if not parses:
         return InferenceResult(Verdict.NO_DERIVATION)
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = []
     for tmp, s in parses:
-        plan = _materialize_parse(tmp, s, ctx)
-        result = evaluate(plan, ctx, bool(meta))
+        nodes: dict[str, NodeRecord] = {}
+        pid = ctx.names.plan_name().name  # minted before the plan's nodes
+        plan = PlanDerivation(pid, _materialize_node(tmp, nodes, ctx), nodes, s, tmp.instance.effect)
+        ctx.register(plan)
+        result = evaluate(plan, ctx)
         plan.bindings = result.bindings
         if not meta:
             ctx.judge(plan, result.bindings, result.error_node)
         candidates.append((plan, result))
     valid = [(p, r) for p, r in candidates if r.valid]
     if len(valid) == 1:
-        plan, result = valid[0]
-        return InferenceResult(Verdict.UNDERSTOOD, plan, None, len(parses), candidates)
-    if len(valid) > 1:
-        return InferenceResult(Verdict.AMBIGUOUS, None, None, len(parses), candidates)
-    if len(candidates) == 1:
-        plan, result = candidates[0]
-        return InferenceResult(Verdict.ERROR_AT, plan, result.error_node, 1, candidates)
-    return InferenceResult(Verdict.AMBIGUOUS, None, None, len(parses), candidates)
+        return InferenceResult(Verdict.UNDERSTOOD, valid[0][0], None, candidates)
+    if valid or len(candidates) > 1:
+        return InferenceResult(Verdict.AMBIGUOUS, None, None, candidates)
+    plan, result = candidates[0]
+    return InferenceResult(Verdict.ERROR_AT, plan, result.error_node, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +711,7 @@ class _Search:
             st = state.fork()
             st.s = s2
             items = items_of(instance.steps, lambda step: self._open(st, name, step))
-            st.nodes[name] = NodeRecord(name, choice, instance.head, items, False, True)
+            st.nodes[name] = NodeRecord(name, choice, instance.head, items)
             st.queue = tuple(
                 ("prove", name, i.term) if i.kind is not ItemKind.CHILD
                 else ("emit", i.child) if st.nodes[i.child].primitive
@@ -745,10 +724,10 @@ class _Search:
         """A new node for a primitive or action step of the parent's schema."""
         child = self.ctx.names.node_name().name
         if step.kind is StepKind.PRIMITIVE:
-            st.nodes[child] = NodeRecord(child, "primitive", step.term, (), True, True)
+            st.nodes[child] = NodeRecord(child, "primitive", step.term)
             st.prims += 1
         else:
-            st.nodes[child] = NodeRecord(child, "?", step.term, (), False, False)
+            st.nodes[child] = NodeRecord(child, "?", step.term)
             st.depths[child] = st.depths.get(parent, 0) + (step.term.functor == "refer")
         return child
 
@@ -861,7 +840,7 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
         assert s0 is not None
         root = ctx.names.node_name().name
         state = _BuildState(
-            nodes={root: NodeRecord(root, schema.name, instance.head, (), False, False)},
+            nodes={root: NodeRecord(root, schema.name, instance.head)},
             queue=(("expand", root),),
             s=s0,
             used=frozenset(),
@@ -876,17 +855,9 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
     if not pushed:
         raise NoPlanError(f"no schema can achieve {format_term(goal)}")
     final = search.run()
-    plan = PlanDerivation(
-        id=ctx.names.plan_name().name,
-        root=final.root,
-        nodes=final.nodes,
-        bindings=final.s,
-        status=PlanStatus.COMPLETE,
-        root_effect=final.root_effect,
-    )
+    plan = PlanDerivation(ctx.names.plan_name().name, final.root, final.nodes, final.s, final.root_effect)
     ctx.register(plan)
-    if final.nodes[final.root].schema == "refer":
-        ctx.judge(plan, final.s)
+    _judge_built(plan, ctx)
     return plan
 
 
@@ -906,8 +877,11 @@ def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDer
     final = search.run()
     partial.nodes = final.nodes
     partial.bindings = final.s
-    partial.status = PlanStatus.COMPLETE
-    added = [final.s.resolve(final.nodes[n].content) for n in final.emitted]
-    if partial.nodes[partial.root].schema == "refer":
-        ctx.judge(partial, final.s)
-    return partial, added
+    _judge_built(partial, ctx)
+    return partial, [final.s.resolve(final.nodes[n].content) for n in final.emitted]
+
+
+def _judge_built(plan: PlanDerivation, ctx: PlannerContext) -> None:
+    """Record a built referring plan as achieving its referent."""
+    if plan.nodes[plan.root].schema == "refer":
+        ctx.judge(plan, plan.bindings)

@@ -18,6 +18,7 @@ from .schemas import SchemaLibrary, Step, StepKind
 from .terms import (
     Compound,
     Const,
+    ListTerm,
     NameSource,
     Substitution,
     Term,
@@ -39,19 +40,19 @@ class Item:
     child: str | None = None
 
 
-class PlanStatus(enum.Enum):
-    PARTIAL = "partial"
-    COMPLETE = "complete"
-
-
 @dataclass
 class NodeRecord:
+    """A plan node. An action node with no items is still open: every
+    concrete schema has a step, so an expanded node always has some."""
+
     name: str
     schema: str
     content: Term
     items: tuple[Item, ...] = ()
-    primitive: bool = False
-    expanded: bool = True
+
+    @property
+    def primitive(self) -> bool:
+        return self.schema == "primitive"
 
 
 @dataclass
@@ -60,7 +61,6 @@ class PlanDerivation:
     root: str
     nodes: dict[str, NodeRecord]
     bindings: Substitution
-    status: PlanStatus
     root_effect: Term | None = None
 
     def node(self, name: str) -> NodeRecord:
@@ -104,7 +104,7 @@ class PlanDerivation:
         return [self.content_of(n) for n in self.yield_node_names(name)]
 
     def unexpanded(self) -> list[str]:
-        return [n for n, rec in self.nodes.items() if not rec.primitive and not rec.expanded]
+        return [n for n, rec in self.nodes.items() if not rec.primitive and not rec.items]
 
 
 def unify_bridged(
@@ -134,21 +134,14 @@ def find_covering_node(
 ) -> tuple[str, Substitution] | None:
     """The deepest action node whose yield matches the given acts in order.
 
-    Matching unifies act by act, so the caller's acts may contain variables.
-    Returns None when no node matches or when two incomparable nodes do.
+    Matching unifies the two act lists, so the caller's acts may contain
+    variables. Returns None when no node matches or when two incomparable
+    nodes do.
     """
+    wanted = ListTerm(tuple(acts))
     matches: list[tuple[str, Substitution]] = []
     for name in plan.action_nodes():
-        yielded = plan.yield_of(name)
-        if len(yielded) != len(acts):
-            continue
-        cur = s
-        for pat, got in zip(acts, yielded):
-            nxt = unify(pat, got, cur)
-            if nxt is None:
-                cur = None
-                break
-            cur = nxt
+        cur = unify(wanted, ListTerm(tuple(plan.yield_of(name))), s)
         if cur is not None:
             matches.append((name, cur))
     # keep only matches with no matching descendant
@@ -209,14 +202,7 @@ def substitute_node(
                     f"replacement {format_term(replacement)} does not fit slot of {target}"
                 )
             s = s2
-            new_nodes[old_name] = NodeRecord(
-                name=old_name,
-                schema=_functor_of(s.resolve(replacement)),
-                content=replacement,
-                items=(),
-                primitive=False,
-                expanded=False,
-            )
+            new_nodes[old_name] = NodeRecord(old_name, _functor_of(s.resolve(replacement)), replacement)
             return old_name
         if old.primitive:
             assert expected is not None
@@ -224,7 +210,7 @@ def substitute_node(
             if s2 is None:
                 raise PlanError(f"primitive {old_name} no longer fits during rebuild")
             s = s2
-            new_nodes[old_name] = NodeRecord(old_name, old.schema, expected, (), True, True)
+            new_nodes[old_name] = NodeRecord(old_name, old.schema, expected)
             return old_name
         schema = library.get(old.schema).instantiate(names)
         if expected is not None:
@@ -239,18 +225,11 @@ def substitute_node(
             raise PlanError(f"node {old_name} child count changed during rebuild")
         kept = iter(kids)
         items = items_of(schema.steps, lambda step: rebuild(next(kept), step.term))
-        new_nodes[old_name] = NodeRecord(old_name, old.schema, schema.head, items, False, True)
+        new_nodes[old_name] = NodeRecord(old_name, old.schema, schema.head, items)
         return old_name
 
     rebuild(plan.root, None)
-    new_plan = PlanDerivation(
-        id=names.plan_name().name,
-        root=plan.root,
-        nodes=new_nodes,
-        bindings=s,
-        status=PlanStatus.PARTIAL,
-        root_effect=root_effect,
-    )
+    new_plan = PlanDerivation(names.plan_name().name, plan.root, new_nodes, s, root_effect)
     return new_plan, s
 
 

@@ -30,7 +30,6 @@ same bytes.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .beliefs import BeliefBase, Bucket
@@ -57,7 +56,6 @@ _FACT_SECTIONS = ("common_ground", "private", "user_model")
 _NAME_SECTIONS = ("objects", "modifier_preds", "modifier_rel_preds", "pick_order")
 _SECTIONS = _FACT_SECTIONS + _NAME_SECTIONS + ("turns",)
 
-_ENTITY_RE = re.compile(r"^entity\d+$")
 # How many leading arguments of each referring act name entities.
 _ENTITY_ARGS = {"s-refer": 1, "s-attrib": 1, "s-attrib-rel": 2}
 
@@ -294,7 +292,7 @@ def _resolve_current(term: Term, ms: MentalState, lineno: int) -> Term:
 
 def _note_entities(acts: list[Term], names: NameSource) -> None:
     def note(t: Term, _bound) -> None:
-        if isinstance(t, Const) and _ENTITY_RE.match(t.name):
+        if isinstance(t, Const):
             names.note_entity(t.name)
 
     for act in acts:

@@ -35,7 +35,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import TermSyntaxError
+from .errors import ScenarioError, TermSyntaxError
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,15 @@ class NameSource:
         return Const(f"n{self.next_id()}")
 
     def note_entity(self, name: str) -> None:
-        """Bump the entity counter past any `entityN` seen in input."""
-        if name.startswith("entity") and name[6:].isdigit():
-            self._entity_counter = max(self._entity_counter, int(name[6:]))
+        """Bump the entity counter past any `entityN` seen in input. This is
+        the one place that reads an entity number: N is ASCII digits, at
+        most 18 of them, so every count stays one Python can read and print."""
+        digits = name[6:]
+        if not (name.startswith("entity") and digits.isascii() and digits.isdigit()):
+            return
+        if len(digits) > 18:
+            raise ScenarioError(f"entity number of {len(digits)} digits, more than 18")
+        self._entity_counter = max(self._entity_counter, int(digits))
 
     def mint_entity(self) -> Const:
         self._entity_counter += 1

@@ -9,7 +9,6 @@ import pytest
 from collabref import (
     Const,
     PlanError,
-    PlanStatus,
     Perspective,
     Substitution,
     complete_plan,
@@ -84,7 +83,6 @@ def naive_yield(plan):
 def test_constructed_plan_shape_and_yield_order():
     ms = referring_state()
     plan = build_refer(ms, "a1")
-    assert plan.status is PlanStatus.COMPLETE
     assert plan.unexpanded() == []
     acts = plan.yield_of()
     assert acts == naive_yield(plan)
@@ -195,12 +193,10 @@ def test_substitute_node_rebuilds_without_leaking_old_bindings():
     replacement = repair_replacement(ms, plan, target_node, "a2")
     fresh, s = substitute_node(plan, target_node, replacement, ms.ctx.library, ms.names)
     assert fresh.id != plan.id
-    assert fresh.status is PlanStatus.PARTIAL
     assert fresh.unexpanded() == [target_node]
     # the hole loses its old subtree; everything else keeps its name
     assert set(fresh.nodes) == set(plan.nodes) - descendants(plan, target_node)
     # the original plan is untouched
-    assert plan.status is PlanStatus.COMPLETE
     assert plan.unexpanded() == []
     # the substituted hole now talks about the new object
     hole = fresh.bindings.resolve(fresh.node(target_node).content)
@@ -221,7 +217,7 @@ def test_substitute_then_complete_describes_the_new_object():
     fresh, _ = substitute_node(plan, target_node, replacement, ms.ctx.library, ms.names)
     ms.ctx.register(fresh)
     completed, added = complete_plan(fresh, ms.ctx)
-    assert completed.status is PlanStatus.COMPLETE
+    assert completed.unexpanded() == []
     assert added, "completion must contribute new surface acts"
     assert any("size(X, large)" in format_term(a) for a in added)
     verdict = evaluate(completed, ms.ctx)

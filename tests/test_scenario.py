@@ -374,6 +374,34 @@ def test_cli_run_replacement_acts_that_are_not_a_list_are_not_understood(tmp_pat
     assert out[-1].startswith("dialogue complete: ")
 
 
+def test_a_clarification_with_every_reading_in_error_does_not_hold_up():
+    text = (SCENARIO_DIR / "one_creature.scn").read_text() + "  user: s-actions(current, x)\n"
+    lines = run_text(text).lines
+    assert [l for l in lines if l.startswith("inferred ")][-2:] == [
+        "inferred p11 replace-plan error-at n12",
+        "inferred p14 expand-plan error-at n15",
+    ]
+    assert lines[-2] == "not understood: that clarification does not hold up"
+
+
+def test_an_entity_name_with_a_non_ascii_digit_is_a_plain_name():
+    tr = run_text(SIMPLE.replace("fern1", "entity²"))
+    assert tr.ok
+    assert tr.lines[-1].endswith("knowref(system, user, entity1, entity²))")
+
+
+@pytest.mark.parametrize("where", ["objects", "turn"])
+def test_an_entity_number_too_long_to_read_is_a_scenario_error(tmp_path, capsys, where):
+    long_name = "entity" + "7" * 5000
+    text = SIMPLE.replace("fern1", long_name) if where == "objects" else SIMPLE.replace("entity1", long_name)
+    with pytest.raises(ScenarioError, match="entity number of 5000 digits"):
+        run_text(text)
+    hostile = tmp_path / "long.scn"
+    hostile.write_text(text)
+    assert main(["run", str(hostile)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_run_exit_two_on_scenario_error(tmp_path, capsys):
     broken = tmp_path / "broken.scn"
     broken.write_text("turns:\n  user: s-refer(entity1)\n")
@@ -499,7 +527,7 @@ FUZZ_CASES = 300
 # far above any case's run time (tens of ms); a case over it is a near-hang
 FUZZ_CASE_SECONDS = 2.0
 # sha256 over every case's transcript text, or its ScenarioError message
-FUZZ_DIGEST = "fc9899f34f91dbf3f59e7d20bbb1d5fbbadd794d413778a67bdd28c8d37b46f3"
+FUZZ_DIGEST = "298acebb59219ee0960e3e7a87ec15d97770ec27107d7578c2c72a016cc029d8"
 
 
 def mutate(text: str, rng: random.Random) -> str:
