@@ -9,7 +9,7 @@ contributions into shared beliefs until both sides accept one plan.
 from __future__ import annotations
 
 from .beliefs import SYSTEM, USER, BeliefBase, Bucket, Perspective
-from .collab import CState, Contribution, EventLog, MentalState
+from .collab import CState, EventLog, MentalState
 from .errors import (
     EngineError,
     NoPlanError,
@@ -51,7 +51,7 @@ from .terms import (
 
 __all__ = [
     "SYSTEM", "USER", "BeliefBase", "Bucket", "Perspective",
-    "CState", "Contribution", "EventLog", "MentalState",
+    "CState", "EventLog", "MentalState",
     "EngineError", "NoPlanError", "NotUnderstoodError", "PlanError",
     "QueryError", "ScenarioError", "TermSyntaxError",
     "EvaluationResult", "InferenceResult", "PlannerContext",

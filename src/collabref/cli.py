@@ -7,8 +7,7 @@ import sys
 from pathlib import Path
 
 from .errors import EngineError, ScenarioError
-from .scenario import Scenario, load_scenario, run_scenario
-from .terms import NameSource
+from .scenario import Transcript, run_text
 
 _BOOKKEEPING = ("belief ", "rule ", "inferred ", "contribution ", "cstate ", "construction ")
 
@@ -48,9 +47,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    names = NameSource()
-    scenario = _load(args.scenario, names)
-    transcript = run_scenario(scenario, names)
+    transcript = _play(args.scenario)
     for line in transcript.lines:
         if args.trace or not line.startswith(_BOOKKEEPING):
             print(line)
@@ -59,10 +56,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if transcript.ok else 1
 
 
-def _load(path: Path, names: NameSource) -> Scenario:
-    """Read a scenario file as UTF-8 and load it; a failure names the file."""
+def _play(path: Path) -> Transcript:
+    """Read a scenario file as UTF-8, load it and run it; a failure in any
+    of the three names the file."""
     try:
-        return load_scenario(path.read_text(encoding="utf-8"), names)
+        return run_text(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, EngineError) as err:
         raise ScenarioError(f"{path}: {err}") from None
 
@@ -74,9 +72,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     failed = 0
     for path in paths:
-        names = NameSource()
-        scenario = _load(path, names)
-        transcript = run_scenario(scenario, names)
+        transcript = _play(path)
         ending = "resolved" if transcript.resolution is not None else "unresolved"
         status = "ok" if transcript.ok else "FAIL"
         if not transcript.ok:

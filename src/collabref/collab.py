@@ -71,14 +71,6 @@ class CState:
         return f"plan={self.plan} goal={format_term(self.goal)}"
 
 
-@dataclass
-class Contribution:
-    speaker: str
-    plan_id: str
-    goal: Term
-    acts: list[Term]
-
-
 class MentalState:
     def __init__(
         self,
@@ -164,7 +156,7 @@ class MentalState:
         if result.kind is Verdict.AMBIGUOUS:
             raise NotUnderstoodError("too many readings of that make sense")
         plan = result.plan
-        self._record_contribution(Contribution("user", plan.id, self._extract_goal(plan), acts))
+        self._record_contribution("user", plan.id, self._extract_goal(plan))
         return result
 
     # -- speaking ------------------------------------------------------------
@@ -184,25 +176,22 @@ class MentalState:
                 continue
             acts = plan.yield_of()
             self.log.add("uttered " + "; ".join(format_term(a) for a in acts))
-            spoken_goal = self._extract_goal(plan)
-            self._record_contribution(Contribution("system", plan.id, spoken_goal, acts))
+            self._record_contribution("system", plan.id, self._extract_goal(plan))
             utterances.append(acts)
         return utterances
 
     # -- contribution bookkeeping ---------------------------------------------
 
-    def _record_contribution(self, c: Contribution) -> None:
+    def _record_contribution(self, speaker: str, plan_id: str, goal: Term) -> None:
         """Put the contribution on the common ground, then chain the rules."""
-        self.log.add(
-            f"contribution {c.speaker} plan={c.plan_id} goal={format_term(c.goal)}"
-        )
-        prop = mk("plan", Const(c.speaker), Const(c.plan_id), c.goal)
+        self.log.add(f"contribution {speaker} plan={plan_id} goal={format_term(goal)}")
+        prop = mk("plan", Const(speaker), Const(plan_id), goal)
         self.uttered.add(canon(prop))
         self._assert(Bucket.COMMON_GROUND, prop)
-        plan = self.ctx.registry[c.plan_id]
+        plan = self.ctx.registry[plan_id]
         if plan.nodes[plan.root].schema == "refer":
-            self.last_referring = c.plan_id
-            self._judge(Const(c.plan_id), c.goal)
+            self.last_referring = plan_id
+            self._judge(Const(plan_id), goal)
         self._apply_rules()
 
     def _judge(self, plan: Const, goal: Term) -> None:

@@ -11,11 +11,17 @@ Three entry points share one constraint solver:
                   cost search over schema expansions (cost: primitive
                   count, then node count, then discovery order), dropping
                   a branch once its candidates hold an object that no
-                  modifier can separate from the referent
+                  modifier can separate from the referent. It names every
+                  root first, then starts from each root already expanded
+                  by the step that expands every open node; a node's work
+                  item carries its refer depth for the nesting cap.
 
-The solver knows the handful of non-query constraint forms: equality,
-negation as failure, candidate-set filtering, referent choice, plan yield
-and content lookups, node substitution, and replanning. Candidate-set
+The solver answers a list of solutions, or None for a constraint that
+must wait for a binding; a knowref the other agent holds is assumed, as
+the one solution that binds nothing. It knows the handful of non-query
+constraint forms: equality, negation as failure, candidate-set
+filtering, referent choice, plan yield and content lookups (a node the
+plan lacks has none), node substitution, and replanning. Candidate-set
 filtering (`subset`) asks its test once, for a fresh variable, and keeps
 the members some answer admits, so a filter costs one belief query
 however many candidates it reads. Construction copies only the schemas
@@ -141,12 +147,6 @@ class PlannerContext:
 # Constraint solving
 # ---------------------------------------------------------------------------
 
-class Outcome(enum.Enum):
-    SOLS = "sols"
-    DEFER = "defer"
-    ASSUME = "assume"
-
-
 QUERY_FORMS = {
     "speaker", "hearer", "world", "bmb", "bel", "goal",
     "modifier-pred", "modifier-rel-pred",
@@ -157,66 +157,63 @@ PLAN_FORMS = {"yield": 3, "content": 3, "substitute": 4, "replan": 2}
 
 def solve(
     term: Term, s: Substitution, ctx: PlannerContext, clarifying: bool = False
-) -> tuple[Outcome, list[Substitution]]:
-    """Solutions of one constraint. With clarifying on, as in every
-    evaluation, replanning only derives the given acts and records its
-    verdict on the plan; acts that are not a list derive nothing.
-    Construction solves with it off, so replanning completes the plan."""
+) -> list[Substitution] | None:
+    """Solutions of one constraint, or None while it must wait for a
+    binding. With clarifying on, as in every evaluation, replanning only
+    derives the given acts and records its verdict on the plan; acts that
+    are not a list derive nothing. Construction solves with it off, so
+    replanning completes the plan."""
     t = s.walk(term)
     if type(t) is not Compound:
         raise PlanError(f"cannot solve non-compound constraint {s.resolve(t)!r}")
     f = t.functor
 
     if f in QUERY_FORMS:
-        return Outcome.SOLS, ctx.base.query(t, ctx.persp, s)
+        return ctx.base.query(t, ctx.persp, s)
 
     if PLAN_FORMS.get(f) == len(t.args) and isinstance(s.walk(t.args[0]), Var):
-        return Outcome.DEFER, []
+        return None
 
     if f == "knowref" and len(t.args) == 4:
         holder = s.walk(t.args[0])
-        if holder != SYSTEM:
-            return Outcome.ASSUME, []
+        if holder != SYSTEM:  # what the other agent knows is assumed
+            return [s]
         entity, obj = s.walk(t.args[2]), s.walk(t.args[3])
         if isinstance(obj, Var):
-            return Outcome.DEFER, []
+            return None
         if isinstance(entity, Var):
             minted = ctx.names.mint_entity()
             s2 = unify(entity, minted, s)
             assert s2 is not None
-            return Outcome.SOLS, [s2]
-        return Outcome.SOLS, [s]
+            return [s2]
+        return [s]
 
     if f == "subset" and len(t.args) == 3:
         items, test, out = s.resolve(t.args[0]), s.walk(t.args[1]), t.args[2]
         if isinstance(items, Var):
-            return Outcome.DEFER, []
+            return None
         if not isinstance(items, ListTerm):
             raise PlanError(f"subset needs a list, got {format_term(items)}")
         if not isinstance(test, Lam) or len(test.params) != 1:
             raise PlanError("subset needs a one-place test")
         keep = _admitted(items.items, test, s, ctx) if items.items else []
         if not keep:
-            return Outcome.SOLS, []
+            return []
         s2 = unify(out, ListTerm(tuple(keep)), s)
-        return Outcome.SOLS, ([s2] if s2 is not None else [])
+        return [s2] if s2 is not None else []
 
     if f == "=" and len(t.args) == 2:
         s2 = unify_bridged(t.args[0], t.args[1], s, ctx.library)
-        return Outcome.SOLS, ([s2] if s2 is not None else [])
+        return [s2] if s2 is not None else []
 
     if f == "not" and len(t.args) == 1:
-        kind, sols = solve(t.args[0], s, ctx, clarifying)
-        if kind is Outcome.DEFER:
-            return Outcome.DEFER, []
-        if kind is Outcome.ASSUME or sols:
-            return Outcome.SOLS, []
-        return Outcome.SOLS, [s]
+        sols = solve(t.args[0], s, ctx, clarifying)
+        return None if sols is None else [] if sols else [s]
 
     if f == "pick-one" and len(t.args) == 2:
         chosen, pool = s.walk(t.args[0]), s.resolve(t.args[1])
         if isinstance(pool, Var):
-            return Outcome.DEFER, []
+            return None
         if not isinstance(pool, ListTerm):
             raise PlanError("pick-one needs a list of candidates")
         sols = []
@@ -224,48 +221,48 @@ def solve(
             s2 = unify(chosen, member, s)
             if s2 is not None:
                 sols.append(s2)
-        return Outcome.SOLS, sols
+        return sols
 
     if f == "yield" and len(t.args) == 3:
-        return Outcome.SOLS, _solve_yield(t, s, ctx)
+        return _solve_yield(t, s, ctx)
 
     if f == "content" and len(t.args) == 3:
         target = _ref_plan(t.args[0], s, ctx)
         node = s.walk(t.args[1])
         if isinstance(node, Var):
-            sols = []
-            for name in target.action_nodes():
-                s2 = unify(node, Const(name), s)
-                if s2 is None:
-                    continue
-                s3 = unify_bridged(t.args[2], target.content_of(name), s2, ctx.library)
-                if s3 is not None:
-                    sols.append(s3)
-            return Outcome.SOLS, sols
-        assert isinstance(node, Const)
-        s2 = unify_bridged(t.args[2], target.content_of(node.name), s, ctx.library)
-        return Outcome.SOLS, ([s2] if s2 is not None else [])
+            named = target.action_nodes()
+        else:
+            named = [node.name] if isinstance(node, Const) and node.name in target.nodes else []
+        sols = []
+        for name in named:
+            s2 = unify(node, Const(name), s)
+            if s2 is None:
+                continue
+            s3 = unify_bridged(t.args[2], target.content_of(name), s2, ctx.library)
+            if s3 is not None:
+                sols.append(s3)
+        return sols
 
     if f == "substitute" and len(t.args) == 4:
         target = _ref_plan(t.args[0], s, ctx)
         node = s.walk(t.args[1])
         if not isinstance(node, Const):
-            return Outcome.DEFER, []
+            return None
         replacement = s.resolve(t.args[2])
         try:
             new_plan, s_new = substitute_node(
                 target, node.name, replacement, ctx.library, ctx.names
             )
         except PlanError:
-            return Outcome.SOLS, []
+            return []
         merged = s.merge(s_new)
         new_plan.bindings = merged
         ctx.register(new_plan)
         s2 = unify(t.args[3], Const(new_plan.id), merged)
-        return Outcome.SOLS, ([s2] if s2 is not None else [])
+        return [s2] if s2 is not None else []
 
     if f == "replan" and len(t.args) == 2:
-        return Outcome.SOLS, _solve_replan(t, s, ctx, clarifying)
+        return _solve_replan(t, s, ctx, clarifying)
 
     raise PlanError(f"no solver for constraint {f}/{len(t.args)}")
 
@@ -322,6 +319,8 @@ def _solve_yield(t: Compound, s: Substitution, ctx: PlannerContext) -> list[Subs
     target = _ref_plan(t.args[0], s, ctx)
     node, acts = s.walk(t.args[1]), s.resolve(t.args[2])
     if isinstance(node, Const):
+        if node.name not in target.nodes:
+            return []
         got = ListTerm(tuple(target.yield_of(node.name)))
         s2 = unify(t.args[2], got, s)
         return [s2] if s2 is not None else []
@@ -411,13 +410,13 @@ def evaluate(plan: PlanDerivation, ctx: PlannerContext) -> EvaluationResult:
         progress, first = first, False
         deferred: list[tuple[str, Term]] = []
         for owner, term in pending:
-            kind, sols = solve(term, s, ctx, True)
-            if kind is Outcome.DEFER or len(sols) > 1:
+            sols = solve(term, s, ctx, True)
+            if sols is None or len(sols) > 1:
                 deferred.append((owner, term))
                 continue
             if sols:
                 s = sols[0]
-            elif kind is Outcome.SOLS and not _assumable(term, s, ctx, plan):
+            elif not _assumable(term, s, ctx, plan):
                 return EvaluationResult(False, s, owner)
             progress = True
         pending = deferred
@@ -646,17 +645,11 @@ class _BuildState:
     queue: tuple
     s: Substitution
     used: frozenset
-    emitted: tuple[str, ...]
-    prims: int
-    depths: dict[str, int]
-    root: str = ""
-    root_effect: Term | None = None
+    emitted: tuple[str, ...] = ()
+    prims: int = 0
 
     def fork(self) -> "_BuildState":
-        return _BuildState(
-            dict(self.nodes), self.queue, self.s, self.used, self.emitted, self.prims,
-            dict(self.depths), self.root, self.root_effect,
-        )
+        return _BuildState(dict(self.nodes), self.queue, self.s, self.used, self.emitted, self.prims)
 
 
 class _Search:
@@ -681,7 +674,7 @@ class _Search:
             work, rest = state.queue[0], state.queue[1:]
             state.queue = rest
             if work[0] == "expand":
-                self._expand(state, work[1])
+                self._expand(state, work[1], work[2])
             elif work[0] == "emit":
                 st = state.fork()
                 st.emitted = st.emitted + (work[1],)
@@ -690,45 +683,44 @@ class _Search:
                 self._prove(state, work[1], work[2])
         raise NoPlanError("no plan achieves the goal")
 
-    def _expand(self, state: _BuildState, name: str) -> None:
-        rec = state.nodes[name]
-        content = state.s.walk(rec.content)
-        if type(content) is not Compound:
-            return
-        if content.functor == "refer" and state.depths.get(name, 0) > MAX_REFER_DEPTH:
+    def _expand(self, state: _BuildState, name: str, depth: int) -> None:
+        """Branch on each schema that can expand the open node; depth counts
+        the refer nodes on its path from the root, itself included."""
+        content = state.s.walk(state.nodes[name].content)
+        if type(content) is not Compound or content.functor == "refer" and depth > MAX_REFER_DEPTH:
             return
         for choice in _concrete_choices(content.functor, self.ctx.library):
             instance = self.ctx.library.get(choice).instantiate(self.ctx.names)
             s2 = unify_bridged(content, instance.head, state.s, self.ctx.library)
-            if s2 is None:
-                continue
-            if name == state.root and state.root_effect is not None:
-                # Variables that occur only in the effect (not the head) would
-                # otherwise be severed from this instance's step bindings.
-                s2 = unify(state.root_effect, instance.effect, s2)
-                if s2 is None:
-                    continue
-            st = state.fork()
-            st.s = s2
-            items = items_of(instance.steps, lambda step: self._open(st, name, step))
-            st.nodes[name] = NodeRecord(name, choice, instance.head, items)
-            st.queue = tuple(
-                ("prove", name, i.term) if i.kind is not ItemKind.CHILD
-                else ("emit", i.child) if st.nodes[i.child].primitive
-                else ("expand", i.child)
-                for i in items
-            ) + st.queue
-            self.push(st)
+            if s2 is not None:
+                self.grow(state, name, instance, s2, depth)
 
-    def _open(self, st: _BuildState, parent: str, step: Step) -> str:
-        """A new node for a primitive or action step of the parent's schema."""
+    def grow(
+        self, state: _BuildState, name: str, instance: ActionSchema, s: Substitution, depth: int
+    ) -> None:
+        """Push a copy of the state with the node expanded by the instance,
+        whose head s already unifies with the node. The instance's steps go
+        to the front of the queue, each child under a name of its own."""
+        st = state.fork()
+        st.s = s
+        items = items_of(instance.steps, lambda step: self._open(st, step))
+        st.nodes[name] = NodeRecord(name, instance.name, instance.head, items)
+        st.queue = tuple(
+            ("prove", name, i.term) if i.kind is not ItemKind.CHILD
+            else ("emit", i.child) if st.nodes[i.child].primitive
+            else ("expand", i.child, depth + (st.nodes[i.child].content.functor == "refer"))
+            for i in items
+        ) + st.queue
+        self.push(st)
+
+    def _open(self, st: _BuildState, step: Step) -> str:
+        """A new node for a primitive or action step."""
         child = self.ctx.names.node_name().name
         if step.kind is StepKind.PRIMITIVE:
             st.nodes[child] = NodeRecord(child, "primitive", step.term)
             st.prims += 1
         else:
             st.nodes[child] = NodeRecord(child, "?", step.term)
-            st.depths[child] = st.depths.get(parent, 0) + (step.term.functor == "refer")
         return child
 
     def _prove(self, state: _BuildState, owner: str, term: Term) -> None:
@@ -736,11 +728,8 @@ class _Search:
         if type(t) is not Compound:
             return
         try:
-            kind, sols = solve(t, state.s, self.ctx)
+            sols = solve(t, state.s, self.ctx) or []  # one that must wait ends the branch
         except NoPlanError:  # replanning found no way to complete the plan
-            return
-        if kind is Outcome.ASSUME:
-            self.push(state.fork())
             return
         rec = state.nodes[owner]
         if t.functor == "subset" and (rec.schema == "headnoun" or rec.schema in MODIFIER_SCHEMAS):
@@ -827,35 +816,29 @@ def _refer_depths(plan: PlanDerivation) -> dict[str, int]:
 
 
 def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
-    """Build the cheapest plan whose communicated effect matches the goal."""
-    search = _Search(ctx)
-    pushed = False
-    for schema in ctx.library.effect_schemas():
+    """Build the cheapest plan whose communicated effect matches the goal.
+
+    Each effect schema whose effect matches the goal is copied once, and
+    every root is named before any is expanded, so that the ids minted
+    under one root do not depend on the others."""
+    roots = [
+        (ctx.names.node_name().name, schema.instantiate(ctx.names))
+        for schema in ctx.library.effect_schemas()
         # the shared template's variables have uids below zero, so trying
         # its effect first captures nothing and copies no schema in vain
-        if unify(schema.effect, goal) is None:
-            continue
-        instance = schema.instantiate(ctx.names)
+        if unify(schema.effect, goal) is not None
+    ]
+    if not roots:
+        raise NoPlanError(f"no schema can achieve {format_term(goal)}")
+    search = _Search(ctx)
+    for root, instance in roots:
         s0 = unify(instance.effect, goal)
         assert s0 is not None
-        root = ctx.names.node_name().name
-        state = _BuildState(
-            nodes={root: NodeRecord(root, schema.name, instance.head)},
-            queue=(("expand", root),),
-            s=s0,
-            used=frozenset(),
-            emitted=(),
-            prims=0,
-            depths={root: 1 if schema.name == "refer" else 0},
-            root=root,
-            root_effect=instance.effect,
-        )
-        pushed = True
-        search.push(state)
-    if not pushed:
-        raise NoPlanError(f"no schema can achieve {format_term(goal)}")
+        start = _BuildState({}, (), s0, frozenset())
+        search.grow(start, root, instance, s0, int(instance.name == "refer"))
     final = search.run()
-    plan = PlanDerivation(ctx.names.plan_name().name, final.root, final.nodes, final.s, final.root_effect)
+    root, instance = next((r, i) for r, i in roots if r in final.nodes)
+    plan = PlanDerivation(ctx.names.plan_name().name, root, final.nodes, final.s, instance.effect)
     ctx.register(plan)
     _judge_built(plan, ctx)
     return plan
@@ -864,16 +847,9 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
 def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDerivation, list[Term]]:
     """Expand a partial plan's open nodes, adding as few acts as possible."""
     search = _Search(ctx)
-    state = _BuildState(
-        nodes=dict(partial.nodes),
-        queue=tuple(("expand", n) for n in partial.unexpanded()),
-        s=partial.bindings,
-        used=modifier_keys_of(partial),
-        emitted=(),
-        prims=0,
-        depths=_refer_depths(partial),
-    )
-    search.push(state)
+    depths = _refer_depths(partial)
+    holes = tuple(("expand", n, depths[n]) for n in partial.unexpanded())
+    search.push(_BuildState(dict(partial.nodes), holes, partial.bindings, modifier_keys_of(partial)))
     final = search.run()
     partial.nodes = final.nodes
     partial.bindings = final.s

@@ -28,10 +28,10 @@ from collabref import (
 from collabref import planner
 from collabref.beliefs import SYSTEM, USER, BeliefBase
 from collabref.planner import (
-    Outcome,
     canonical_orders,
     solve,
 )
+from collabref.plans import ItemKind
 from collabref.terms import (
     Lam,
     ListTerm,
@@ -66,8 +66,7 @@ def test_plan_reference_constraints_defer_while_unbound():
         mk("replan", p, ctx.names.fresh_var("A")),
     ]
     for term in cases:
-        kind, sols = solve(term, Substitution(), ctx)
-        assert kind is Outcome.DEFER and sols == [], format_term(term)
+        assert solve(term, Substitution(), ctx) is None, format_term(term)
 
 
 def test_substitute_defers_until_the_node_is_known():
@@ -84,20 +83,19 @@ def test_substitute_defers_until_the_node_is_known():
         Const("x"),
         ms.names.fresh_var("Q"),
     )
-    kind, sols = solve(term, Substitution(), ms.ctx)
-    assert kind is Outcome.DEFER and sols == []
+    assert solve(term, Substitution(), ms.ctx) is None
 
 
 def test_knowref_assumed_for_the_other_agent_solved_for_self():
     ctx = small_ctx()
     names = ctx.names
     e, o = names.fresh_var("E"), names.fresh_var("O")
-    kind, _ = solve(mk("knowref", USER, USER, e, o), Substitution(), ctx)
-    assert kind is Outcome.ASSUME
-    kind, _ = solve(mk("knowref", SYSTEM, SYSTEM, e, o), Substitution(), ctx)
-    assert kind is Outcome.DEFER
-    kind, sols = solve(mk("knowref", SYSTEM, SYSTEM, e, Const("fern1")), Substitution(), ctx)
-    assert kind is Outcome.SOLS and len(sols) == 1
+    s = Substitution()
+    sols = solve(mk("knowref", USER, USER, e, o), s, ctx)
+    assert len(sols) == 1 and sols[0] is s  # one solution, the input substitution itself
+    assert solve(mk("knowref", SYSTEM, SYSTEM, e, o), s, ctx) is None
+    sols = solve(mk("knowref", SYSTEM, SYSTEM, e, Const("fern1")), s, ctx)
+    assert len(sols) == 1
     minted = sols[0].resolve(e)
     assert format_term(minted).startswith("entity")
 
@@ -110,8 +108,8 @@ def test_subset_keeps_matching_members_in_order():
         "subset([fern1, tv1], lambda(X, category(X, creature)), Out)", names
     )
     term = mk("subset", term.args[0], term.args[1], out)
-    kind, sols = solve(term, Substitution(), ctx)
-    assert kind is Outcome.SOLS and len(sols) == 1
+    sols = solve(term, Substitution(), ctx)
+    assert len(sols) == 1
     assert sols[0].resolve(out) == ListTerm((Const("fern1"),))
     # nothing matching means failure, not an empty survivor list
     term2 = mk(
@@ -120,8 +118,7 @@ def test_subset_keeps_matching_members_in_order():
         read_term("lambda(X, category(X, creature))", names),
         names.fresh_var("Out2"),
     )
-    kind, sols = solve(term2, Substitution(), ctx)
-    assert kind is Outcome.SOLS and sols == []
+    assert solve(term2, Substitution(), ctx) == []
 
 
 # A store of ground, non-ground, bare-variable and lambda-valued facts over
@@ -195,8 +192,8 @@ def test_subset_agrees_with_one_query_per_member(stored, members, test, bound):
     s = Substitution() if bound is None else Substitution().bind(MEMBER_VARS[0], bound)
     out = ctx.names.fresh_var("Out")
     want = per_member_subset(ctx, [s.resolve(m) for m in members], test, s)
-    kind, sols = solve(mk("subset", ListTerm(tuple(members)), test, out), s, ctx)
-    assert kind is Outcome.SOLS
+    sols = solve(mk("subset", ListTerm(tuple(members)), test, out), s, ctx)
+    assert sols is not None
     got = list(sols[0].resolve(out).items) if sols else []
     assert got == want
 
@@ -210,9 +207,8 @@ def test_subset_raises_the_same_query_error_and_skips_an_empty_list():
         solve(mk("subset", ListTerm((Const("fern1"),)), test, ctx.names.fresh_var("Out")),
               Substitution(), ctx)
     assert str(solved.value) == str(direct.value)
-    kind, sols = solve(mk("subset", ListTerm(()), test, ctx.names.fresh_var("Out")),
-                       Substitution(), ctx)
-    assert kind is Outcome.SOLS and sols == []
+    assert solve(mk("subset", ListTerm(()), test, ctx.names.fresh_var("Out")),
+                 Substitution(), ctx) == []
 
 
 def test_pick_one_respects_the_preference_order():
@@ -224,8 +220,7 @@ def test_pick_one_respects_the_preference_order():
     ctx = ms.ctx
     chosen = ctx.names.fresh_var("C")
     pool = ListTerm((Const("fern1"), Const("tv1")))
-    kind, sols = solve(mk("pick-one", chosen, pool), Substitution(), ctx)
-    assert kind is Outcome.SOLS
+    sols = solve(mk("pick-one", chosen, pool), Substitution(), ctx)
     assert [s.resolve(chosen) for s in sols] == [Const("tv1"), Const("fern1")]
 
 
@@ -233,15 +228,12 @@ def test_negation_as_failure():
     ctx = small_ctx()
     names = ctx.names
     yes = read_term("not([a] = [])", names)
-    kind, sols = solve(yes, Substitution(), ctx)
-    assert kind is Outcome.SOLS and len(sols) == 1
+    assert len(solve(yes, Substitution(), ctx)) == 1
     no = read_term("not([] = [])", names)
-    kind, sols = solve(no, Substitution(), ctx)
-    assert kind is Outcome.SOLS and sols == []
+    assert solve(no, Substitution(), ctx) == []
     # an undecided inner constraint keeps the negation undecided too
     open_plan = mk("not", mk("replan", names.fresh_var("P"), names.fresh_var("A")))
-    kind, sols = solve(open_plan, Substitution(), ctx)
-    assert kind is Outcome.DEFER
+    assert solve(open_plan, Substitution(), ctx) is None
 
 
 def test_equation_bridges_abstract_shapes():
@@ -250,8 +242,7 @@ def test_equation_bridges_abstract_shapes():
     lib = ctx.library
     concrete = lib.get("modifier-absolute").instantiate(names).head
     term = mk("=", read_term("modifier(E, O, C, N)", names), concrete)
-    kind, sols = solve(term, Substitution(), ctx)
-    assert kind is Outcome.SOLS and len(sols) == 1
+    assert len(solve(term, Substitution(), ctx)) == 1
 
 
 # -- recognition --------------------------------------------------------------
@@ -491,6 +482,18 @@ def test_construction_resolves_repair_plan_ids_in_the_effect():
     assert ms.ctx.plan_judgments[new_pid.name][0] == "achieve"
 
 
+def test_construction_names_every_root_before_it_expands_one():
+    # reject-plan and postpone-plan share an effect: their roots are n11 and
+    # n12, and only then do their steps get n13 and n14. Expanding each root
+    # as it is found would name the postpone plan's root n13.
+    ms = golden_state()
+    ms.hearer_step(opening_request(ms))
+    ms.speaker_step()
+    plan = ms.ctx.plan("p15")
+    assert (plan.nodes[plan.root].schema, plan.root) == ("postpone-plan", "n12")
+    assert [i.child for i in plan.nodes[plan.root].items if i.kind is ItemKind.CHILD] == ["n14"]
+
+
 # -- dead-end pruning ------------------------------------------------------------
 
 def describe_or_refuse(objects, facts, target: str, preds=(), rels=()) -> tuple[str, ...]:
@@ -683,9 +686,9 @@ def test_a_query_constraint_is_resolved_once(monkeypatch):
     obj = ctx.names.fresh_var("O")
     term = mk("bmb", speaker, hearer, mk("category", obj, Const("creature")))
     calls = count_top_level_resolves(monkeypatch)
-    kind, sols = solve(term, s, ctx)
+    sols = solve(term, s, ctx)
     assert calls[0] == 1  # in BeliefBase.query
-    assert kind is Outcome.SOLS and [x.resolve(obj) for x in sols] == [Const("fern1")]
+    assert [x.resolve(obj) for x in sols] == [Const("fern1")]
 
 
 def test_a_subset_filter_resolves_the_list_the_goal_and_each_answer(monkeypatch):
@@ -695,9 +698,9 @@ def test_a_subset_filter_resolves_the_list_the_goal_and_each_answer(monkeypatch)
     s = s.bind(cand, ListTerm((Const("fern1"), Const("tv1"))))
     test = Lam((x,), mk("bmb", speaker, hearer, mk("category", x, Const("creature"))))
     calls = count_top_level_resolves(monkeypatch)
-    kind, sols = solve(mk("subset", cand, test, out), s, ctx)
+    sols = solve(mk("subset", cand, test, out), s, ctx)
     assert calls[0] == 3  # the list, the goal in query, and the one answer
-    assert kind is Outcome.SOLS and len(sols) == 1
+    assert len(sols) == 1
     assert sols[0].resolve(out) == ListTerm((Const("fern1"),))
 
 
@@ -710,14 +713,14 @@ def test_solve_gives_the_same_solutions_for_a_term_and_its_resolution(monkeypatc
     seen = set()
 
     def both(term, s, ctx, clarifying=False):
-        kind, sols = real(term, s, ctx, clarifying)
+        sols = real(term, s, ctx, clarifying)
         functor = s.walk(term).functor
         if functor in REPEATABLE:
             seen.add(functor)
-            kind2, sols2 = real(s.resolve(term), s, ctx, clarifying)
-            assert kind2 is kind, format_term(s.resolve(term))
-            assert [canon(term, x) for x in sols2] == [canon(term, x) for x in sols]
-        return kind, sols
+            sols2 = real(s.resolve(term), s, ctx, clarifying)
+            assert (sols2 is None) is (sols is None), format_term(s.resolve(term))
+            assert [canon(term, x) for x in sols2 or []] == [canon(term, x) for x in sols or []]
+        return sols
 
     monkeypatch.setattr(planner, "solve", both)
     text = (SCENARIO_DIR / "weird_creature.scn").read_text()

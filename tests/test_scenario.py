@@ -431,13 +431,41 @@ def test_cli_exit_two_on_a_scenario_file_that_is_not_utf8(tmp_path, capsys, comm
     assert "utf-8" in err and "Traceback" not in err
 
 
-def test_cli_check_names_the_file_that_fails_to_load(tmp_path, capsys):
+@pytest.mark.parametrize("broken", [
+    "turns:\n  user: s-refer(entity1)\n",  # fails to load
+    "objects: a1\nturns:\n  user: s-accept(current)\n",  # fails while it runs
+], ids=["load", "run"])
+def test_cli_check_names_the_file_that_fails_to_load(tmp_path, capsys, broken):
     (tmp_path / "a_good.scn").write_text(SIMPLE)
-    (tmp_path / "b_broken.scn").write_text("turns:\n  user: s-refer(entity1)\n")
+    (tmp_path / "b_broken.scn").write_text(broken)
     assert main(["check", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "ok   a_good.scn" in captured.out
     assert captured.err.startswith(f"error: {tmp_path / 'b_broken.scn'}: ")
+
+
+@pytest.mark.parametrize("node, clarification", [
+    ("f(x)", "s-actions(current, [s-attrib(entity1, lambda(X, category(X, creature)))])"),
+    ("zz", "s-actions(current, [s-attrib(entity1, lambda(X, category(X, creature)))])"),
+    ("zz", "s-reject(current, [s-refer(entity1)])"),
+], ids=["content-of-a-compound", "content-of-no-node", "yield-of-no-node"])
+def test_cli_a_clarification_at_a_node_the_plan_lacks_is_not_understood(
+    tmp_path, capsys, node, clarification
+):
+    # the user model blames plan p1 at a node it does not have, so the
+    # clarification's yield or content lookup must find no solution
+    path = tmp_path / "hostile.scn"
+    path.write_text(
+        "objects: p1 fern1\n"
+        "common_ground:\n  category(fern1, creature)\n"
+        f"user_model:\n  error(p1, {node})\n"
+        "turns:\n"
+        "  user: s-refer(entity1); s-attrib(entity1, lambda(X, category(X, creature)))\n"
+        f"  user: {clarification}\n"
+    )
+    assert main(["run", str(path)]) == 1
+    ending = capsys.readouterr().out.splitlines()[-2:]
+    assert ending[0].startswith("not understood: ") and ending[1] == "dialogue ended unresolved"
 
 
 def nested_scenario(act_depth=3, fact_depth=2):
