@@ -178,10 +178,8 @@ class BeliefBase:
         filed = self._stores[bucket].candidates(_key(pattern, EMPTY))
         return [(seq, prop) for seq, prop, _ in filed]
 
-    def assert_prop(self, bucket: Bucket, prop: Term, s: Substitution | None = None) -> bool:
+    def assert_prop(self, bucket: Bucket, prop: Term) -> bool:
         """Add a proposition; returns False if an alpha-equal one is present."""
-        if s is not None:
-            prop = s.resolve(prop)
         key, ground = canon_ground(prop)
         store = self._stores[bucket]
         if key in store.keys:

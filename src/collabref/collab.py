@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .beliefs import BeliefBase, Bucket, Perspective, SYSTEM, USER
 from .errors import NoPlanError, NotUnderstoodError
-from .planner import META_ROOTS, InferenceResult, PlannerContext, Verdict, construct, infer
+from .planner import InferenceResult, PlannerContext, Verdict, construct, infer
 from .schemas import SchemaLibrary
 from .terms import (
     EMPTY,
@@ -134,7 +134,7 @@ class MentalState:
     def hearer_step(self, acts: list[Term]) -> InferenceResult:
         self.ctx.persp = Perspective("user", "system")
         self.log.add("observed " + "; ".join(format_term(a) for a in acts))
-        is_meta = bool(acts) and isinstance(acts[0], Compound) and acts[0].functor in META_ROOTS
+        is_meta = bool(acts) and isinstance(acts[0], Compound) and acts[0].functor in self.library.meta_roots
         expected = None
         if is_meta:
             expected = self.scope

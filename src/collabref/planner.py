@@ -14,7 +14,12 @@ Three entry points share one constraint solver:
                   modifier can separate from the referent. It names every
                   root first, then starts from each root already expanded
                   by the step that expands every open node; a node's work
-                  item carries its refer depth for the nesting cap.
+                  item carries its refer depth for the nesting cap, and a
+                  primitive takes no work item at all.
+
+The schema library is the one table of the vocabulary all three read:
+which acts are surface acts, which roots a clarification act starts, and
+which schemas an abstract action stands for.
 
 The solver answers a list of solutions, or None for a constraint that
 must wait for a binding; a knowref the other agent holds is assumed, as
@@ -42,7 +47,6 @@ from dataclasses import dataclass, field
 from .beliefs import BeliefBase, Perspective, SYSTEM
 from .errors import NoPlanError, PlanError
 from .plans import (
-    ItemKind,
     NodeRecord,
     PlanDerivation,
     find_covering_node,
@@ -50,12 +54,13 @@ from .plans import (
     substitute_node,
     unify_bridged,
 )
-from .schemas import ActionSchema, SchemaLibrary, Step, StepKind, check_primitive_act
+from .schemas import ActionSchema, SchemaLibrary, Step, StepKind
 from .terms import (
     Compound,
     Const,
     Lam,
     ListTerm,
+    NameSource,
     Substitution,
     Term,
     Var,
@@ -67,14 +72,6 @@ from .terms import (
     visit,
 )
 
-META_ROOTS: dict[str, list[str]] = {
-    "s-accept": ["accept-plan"],
-    "s-reject": ["reject-plan"],
-    "s-postpone": ["postpone-plan"],
-    "s-actions": ["replace-plan", "expand-plan"],
-}
-
-MODIFIER_SCHEMAS = ("modifier-absolute", "modifier-relative")
 SEARCH_CAP = 50_000
 MAX_REFER_DEPTH = 2
 
@@ -403,7 +400,7 @@ def evaluate(plan: PlanDerivation, ctx: PlannerContext) -> EvaluationResult:
     a pass commits nothing. An unprovable belief of the speaker's that their
     utterance asserts anyway is taken on trust."""
     s = plan.bindings
-    pending = [(owner, i.term) for owner, i in plan.walk() if i.kind is not ItemKind.CHILD]
+    pending = [(owner, i.term) for owner, i in plan.walk() if i.child is None]
     # the pass in step order is always followed by a pass over what it deferred
     first = progress = True
     while pending and progress:
@@ -426,12 +423,6 @@ def evaluate(plan: PlanDerivation, ctx: PlannerContext) -> EvaluationResult:
 # ---------------------------------------------------------------------------
 # Recognition: from surface acts to candidate derivations
 # ---------------------------------------------------------------------------
-
-def _concrete_choices(functor: str, library: SchemaLibrary) -> list[str]:
-    if library.is_abstract(functor):
-        return list(library.specializations.get(functor, []))
-    return [functor]
-
 
 @dataclass
 class _TmpNode:
@@ -483,7 +474,7 @@ def _derive(expected, span, s, ctx, rest_least, rest_most):
     it between rest_least and rest_most acts: by schema choice, then take,
     then parse. Recognition and replanning both derive through here."""
     least, most = ctx.library.least_from, ctx.library.most_from
-    for choice in _concrete_choices(expected.functor, ctx.library):
+    for choice in ctx.library.concrete(expected.functor):
         fewest, most_child = (least[choice][0], most[choice][0]) if choice in least else (0, len(span))
         lo, hi = max(fewest, len(span) - rest_most), min(most_child, len(span) - rest_least)
         if lo > hi:
@@ -590,16 +581,14 @@ def infer(
     clarification acts the root comes from the act itself, and parses
     about some other plan than the one under discussion are dropped.
     """
-    for act in acts:
-        try:
-            check_primitive_act(act)
-        except PlanError:
-            return InferenceResult(Verdict.NO_DERIVATION)
-    meta = any(isinstance(a, Compound) and a.functor in META_ROOTS for a in acts)
+    if not all(ctx.library.is_surface_act(act) for act in acts):
+        return InferenceResult(Verdict.NO_DERIVATION)
+    roots = ctx.library.meta_roots
+    meta = any(a.functor in roots for a in acts)
     if meta and len(acts) != 1:
         return InferenceResult(Verdict.NO_DERIVATION)
     readings = (
-        [(root, acts) for root in META_ROOTS[acts[0].functor]] if meta
+        [(root, acts) for root in roots[acts[0].functor]] if meta
         else [("refer", order) for order in canonical_orders(acts)]
     )
     about = Const(expected_plan) if meta and expected_plan is not None else None
@@ -645,11 +634,10 @@ class _BuildState:
     queue: tuple
     s: Substitution
     used: frozenset
-    emitted: tuple[str, ...] = ()
     prims: int = 0
 
     def fork(self) -> "_BuildState":
-        return _BuildState(dict(self.nodes), self.queue, self.s, self.used, self.emitted, self.prims)
+        return _BuildState(dict(self.nodes), self.queue, self.s, self.used, self.prims)
 
 
 class _Search:
@@ -675,10 +663,6 @@ class _Search:
             state.queue = rest
             if work[0] == "expand":
                 self._expand(state, work[1], work[2])
-            elif work[0] == "emit":
-                st = state.fork()
-                st.emitted = st.emitted + (work[1],)
-                self.push(st)
             else:
                 self._prove(state, work[1], work[2])
         raise NoPlanError("no plan achieves the goal")
@@ -689,7 +673,7 @@ class _Search:
         content = state.s.walk(state.nodes[name].content)
         if type(content) is not Compound or content.functor == "refer" and depth > MAX_REFER_DEPTH:
             return
-        for choice in _concrete_choices(content.functor, self.ctx.library):
+        for choice in self.ctx.library.concrete(content.functor):
             instance = self.ctx.library.get(choice).instantiate(self.ctx.names)
             s2 = unify_bridged(content, instance.head, state.s, self.ctx.library)
             if s2 is not None:
@@ -699,17 +683,17 @@ class _Search:
         self, state: _BuildState, name: str, instance: ActionSchema, s: Substitution, depth: int
     ) -> None:
         """Push a copy of the state with the node expanded by the instance,
-        whose head s already unifies with the node. The instance's steps go
-        to the front of the queue, each child under a name of its own."""
+        whose head s already unifies with the node. Each child gets a name of
+        its own, and the instance's steps but its primitives, which are
+        already as built as they get, go to the front of the queue."""
         st = state.fork()
         st.s = s
         items = items_of(instance.steps, lambda step: self._open(st, step))
         st.nodes[name] = NodeRecord(name, instance.name, instance.head, items)
         st.queue = tuple(
-            ("prove", name, i.term) if i.kind is not ItemKind.CHILD
-            else ("emit", i.child) if st.nodes[i.child].primitive
+            ("prove", name, i.term) if i.child is None
             else ("expand", i.child, depth + (st.nodes[i.child].content.functor == "refer"))
-            for i in items
+            for i in items if i.kind is not StepKind.PRIMITIVE
         ) + st.queue
         self.push(st)
 
@@ -732,10 +716,11 @@ class _Search:
         except NoPlanError:  # replanning found no way to complete the plan
             return
         rec = state.nodes[owner]
-        if t.functor == "subset" and (rec.schema == "headnoun" or rec.schema in MODIFIER_SCHEMAS):
+        modifier = rec.schema in self.ctx.library.concrete("modifier")
+        if t.functor == "subset" and (rec.schema == "headnoun" or modifier):
             sols = [s2 for s2 in sols if not self._dead_end(rec, t, s2)]
         branches = [(s2, state.used) for s2 in sols]
-        if t.functor == "subset" and rec.schema in MODIFIER_SCHEMAS:
+        if t.functor == "subset" and modifier:
             # a modifier must narrow the candidates and add a new restriction
             keyed = [(s2, modifier_key(rec, s2)) for s2 in sols if self._shrinks(t, s2)]
             branches = [(s2, state.used | {k}) for s2, k in keyed if k not in state.used]
@@ -779,7 +764,7 @@ def modifier_key(rec: NodeRecord, s: Substitution) -> tuple[str, str, str]:
     assert isinstance(content, Compound)
     pred = other = ""
     for item in rec.items:
-        if item.kind is not ItemKind.CONSTRAINT:
+        if item.kind is not StepKind.CONSTRAINT:
             continue
         c = s.resolve(item.term)
         if isinstance(c, Compound) and c.functor in ("modifier-pred", "modifier-rel-pred"):
@@ -791,12 +776,12 @@ def modifier_key(rec: NodeRecord, s: Substitution) -> tuple[str, str, str]:
     return (canon(content.args[0]), pred, other)
 
 
-def modifier_keys_of(plan: PlanDerivation) -> frozenset:
+def modifier_keys_of(plan: PlanDerivation, library: SchemaLibrary) -> frozenset:
     """Identity keys of the modifiers a plan already uses, for reuse guards."""
     return frozenset(
         modifier_key(plan.nodes[name], plan.bindings)
         for name in plan.action_nodes()
-        if plan.nodes[name].schema in MODIFIER_SCHEMAS
+        if plan.nodes[name].schema in library.concrete("modifier")
     )
 
 
@@ -810,7 +795,7 @@ def _refer_depths(plan: PlanDerivation) -> dict[str, int]:
 
     depths = {plan.root: bump(plan.root)}
     for owner, i in plan.walk():
-        if i.kind is ItemKind.CHILD:
+        if i.kind is StepKind.ACTION:
             depths[i.child] = depths[owner] + bump(i.child)
     return depths
 
@@ -845,16 +830,19 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
 
 
 def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDerivation, list[Term]]:
-    """Expand a partial plan's open nodes, adding as few acts as possible."""
+    """Expand a partial plan's open nodes, adding as few acts as possible;
+    the acts added are the surface acts of the finished tree that the
+    partial plan lacked, in utterance order."""
     search = _Search(ctx)
     depths = _refer_depths(partial)
     holes = tuple(("expand", n, depths[n]) for n in partial.unexpanded())
-    search.push(_BuildState(dict(partial.nodes), holes, partial.bindings, modifier_keys_of(partial)))
+    kept = set(partial.nodes)
+    search.push(_BuildState(dict(partial.nodes), holes, partial.bindings, modifier_keys_of(partial, ctx.library)))
     final = search.run()
     partial.nodes = final.nodes
     partial.bindings = final.s
     _judge_built(partial, ctx)
-    return partial, [final.s.resolve(final.nodes[n].content) for n in final.emitted]
+    return partial, [partial.content_of(n) for n in partial.yield_node_names() if n not in kept]
 
 
 def _judge_built(plan: PlanDerivation, ctx: PlannerContext) -> None:

@@ -5,11 +5,15 @@ substitution that accumulated while the plan was built or recognized.
 Node names are only meaningful inside their own plan. Plans are referred
 to from belief propositions by their id constant (p7, p31, ...), so the
 registry is the bridge between the belief world and plan structure.
+
+A node holds one item per step of its schema, of that step's kind: a
+constraint or mental step keeps its term, and a primitive or action step
+names the child node it opened. So a walk tells surface acts from action
+nodes by the item alone.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,15 +31,12 @@ from .terms import (
 )
 
 
-class ItemKind(enum.Enum):
-    CONSTRAINT = "constraint"
-    MENTAL = "mental"
-    CHILD = "child"
-
-
 @dataclass(frozen=True)
 class Item:
-    kind: ItemKind
+    """A schema step in a plan node: a constraint or mental step's term, or
+    the name of the node a primitive or action step opened."""
+
+    kind: StepKind
     term: Term | None = None
     child: str | None = None
 
@@ -80,7 +81,7 @@ class PlanDerivation:
         def visit(owner: str) -> None:
             for item in self.nodes[owner].items:
                 out.append((owner, item))
-                if item.kind is ItemKind.CHILD:
+                if item.kind is StepKind.ACTION:
                     visit(item.child)
 
         visit(name or self.root)
@@ -88,17 +89,13 @@ class PlanDerivation:
 
     def action_nodes(self) -> list[str]:
         """Non-primitive node names, pre-order."""
-        return [self.root] + [
-            i.child for _, i in self.walk() if i.kind is ItemKind.CHILD and not self.nodes[i.child].primitive
-        ]
+        return [self.root] + [i.child for _, i in self.walk() if i.kind is StepKind.ACTION]
 
     def yield_node_names(self, name: str | None = None) -> list[str]:
         """Names of primitive leaves under a node, in utterance order."""
         if name is not None and self.nodes[name].primitive:
             return [name]
-        return [
-            i.child for _, i in self.walk(name) if i.kind is ItemKind.CHILD and self.nodes[i.child].primitive
-        ]
+        return [i.child for _, i in self.walk(name) if i.kind is StepKind.PRIMITIVE]
 
     def yield_of(self, name: str | None = None) -> list[Term]:
         return [self.content_of(n) for n in self.yield_node_names(name)]
@@ -122,9 +119,9 @@ def unify_bridged(
     ra, rb = s.walk(a), s.walk(b)
     if isinstance(ra, Compound) and isinstance(rb, Compound) and len(ra.args) == len(rb.args):
         fa, fb = ra.functor, rb.functor
-        if library.is_abstract(fa) and library.parent_of(fb) == fa:
+        if fb in library.specializations.get(fa, ()):
             return unify(Compound(fb, ra.args), rb, s)
-        if library.is_abstract(fb) and library.parent_of(fa) == fb:
+        if fa in library.specializations.get(fb, ()):
             return unify(ra, Compound(fa, rb.args), s)
     return None
 
@@ -148,7 +145,7 @@ def find_covering_node(
     names = {n for n, _ in matches}
     deepest = [
         (name, sub) for name, sub in matches
-        if not any(i.kind is ItemKind.CHILD and i.child in names for _, i in plan.walk(name))
+        if not any(i.child in names for _, i in plan.walk(name))
     ]
     if len(deepest) != 1:
         return None
@@ -159,9 +156,7 @@ def items_of(steps: tuple[Step, ...], child: Callable[[Step], str]) -> tuple[Ite
     """A schema's steps as plan items. child(step) names the node of each
     primitive or action step; it is called once for each, in step order."""
     return tuple([
-        Item(ItemKind.CONSTRAINT, term=st.term) if st.kind is StepKind.CONSTRAINT
-        else Item(ItemKind.MENTAL, term=st.term) if st.kind is StepKind.MENTAL
-        else Item(ItemKind.CHILD, child=child(st))
+        Item(st.kind, child=child(st)) if st.kind in _NODE_STEPS else Item(st.kind, st.term)
         for st in steps
     ])
 
@@ -220,7 +215,7 @@ def substitute_node(
             s = s2
         if old_name == plan.root:
             root_effect = schema.effect
-        kids = [i.child for i in old.items if i.kind is ItemKind.CHILD]
+        kids = [i.child for i in old.items if i.child is not None]
         if len(kids) != sum(st.kind in _NODE_STEPS for st in schema.steps):
             raise PlanError(f"node {old_name} child count changed during rebuild")
         kept = iter(kids)

@@ -13,9 +13,12 @@ Each schema carries, in order:
 Abstract schemas (modifiers, modifier) never appear in finished plans; one
 of their specializations stands in.
 
-Primitive surface acts and their arities:
-  s-refer/1  s-attrib/2  s-attrib-rel/3
-  s-accept/1  s-reject/2  s-postpone/2  s-actions/2
+The library text is the one statement of the schema vocabulary. Each
+schema is a block of lines, and each step line starts with its kind. The
+library derives the rest from the parsed schemas: each surface act's
+arity (from the primitive steps), the roots each clarification act
+starts (the effect schemas with no action step that utter it) and each
+abstract action's specializations.
 
 The library text is parsed once per process, on the first `build_library`
 call, and every mental state shares the one library. Its variables take
@@ -37,16 +40,6 @@ from dataclasses import dataclass
 
 from .errors import PlanError
 from .terms import Compound, Lam, ListTerm, NameSource, Term, TermReader, Var, variables_of
-
-PRIMITIVES: dict[str, int] = {
-    "s-refer": 1,
-    "s-attrib": 2,
-    "s-attrib-rel": 3,
-    "s-accept": 1,
-    "s-reject": 2,
-    "s-postpone": 2,
-    "s-actions": 2,
-}
 
 # More surface acts than any span holds: the yield of a schema that cannot
 # be derived at all.
@@ -114,18 +107,27 @@ def _copy(t: Term, mapping: dict[int, Var]) -> Term:
 
 
 class SchemaLibrary:
+    """The schemas, by name in library order, and the vocabulary they
+    define: each surface act's arity, the schemas each clarification act
+    starts, and each abstract action's specializations."""
+
     def __init__(self, schemas: list[ActionSchema]):
         self.by_name: dict[str, ActionSchema] = {}
-        self.order: list[str] = []
+        self.specializations: dict[str, list[str]] = {}
+        self.primitives: dict[str, int] = {}
+        self.meta_roots: dict[str, list[str]] = {}
         for sc in schemas:
             if sc.name in self.by_name:
                 raise PlanError(f"duplicate schema {sc.name}")
             self.by_name[sc.name] = sc
-            self.order.append(sc.name)
-        self.specializations: dict[str, list[str]] = {}
-        for sc in schemas:
             if sc.specializes:
                 self.specializations.setdefault(sc.specializes, []).append(sc.name)
+            acts = [st.term for st in sc.steps if st.kind is StepKind.PRIMITIVE]
+            self.primitives.update((act.functor, len(act.args)) for act in acts)
+            # a root that manipulates a plan utters its act and derives no action
+            if sc.effect is not None and all(st.kind is not StepKind.ACTION for st in sc.steps):
+                for act in acts:
+                    self.meta_roots.setdefault(act.functor, []).append(sc.name)
         self.least_from = self._yields(schemas, min, 0)
         self.most_from = self._yields(schemas, max, _UNBOUNDED)
 
@@ -169,13 +171,16 @@ class SchemaLibrary:
             raise PlanError(f"no schema named {name}") from None
 
     def effect_schemas(self) -> list[ActionSchema]:
-        return [self.by_name[n] for n in self.order if self.by_name[n].effect is not None]
+        return [sc for sc in self.by_name.values() if sc.effect is not None]
 
-    def parent_of(self, name: str) -> str | None:
-        return self.by_name[name].specializes if name in self.by_name else None
+    def concrete(self, functor: str) -> list[str]:
+        """The schemas that can stand for an action: its specializations,
+        or the action itself."""
+        return self.specializations.get(functor, [functor])
 
-    def is_abstract(self, functor: str) -> bool:
-        return functor in self.by_name and self.by_name[functor].abstract
+    def is_surface_act(self, t: Term) -> bool:
+        """Whether t is a surface act of the library, with its arity."""
+        return isinstance(t, Compound) and self.primitives.get(t.functor) == len(t.args)
 
 
 _LIBRARY_TEXT = """
@@ -283,88 +288,26 @@ def _library() -> SchemaLibrary:
 
 
 def _parse_library(names: NameSource) -> list[ActionSchema]:
-    """Parse the library text, minting its variables from names."""
-    schemas: list[ActionSchema] = []
-    cur: dict | None = None
+    """Parse the library text, one blank-line-separated block per schema,
+    minting its variables from names."""
+    return [_parse_schema(block, names) for block in _LIBRARY_TEXT.strip().split("\n\n")]
 
-    def flush():
-        nonlocal cur
-        if cur is None:
-            return
-        steps = list(cur["steps"])
-        mentioned = set()
-        for t in [cur["head"], cur["effect"]] + [st.term for st in steps]:
-            if t is not None:
-                mentioned.update(v.name for v in variables_of(t))
-        prefix: list[Step] = []
-        reader: TermReader = cur["reader"]
-        if "Speaker" in mentioned or "Hearer" in mentioned:
-            prefix.append(Step(StepKind.CONSTRAINT, reader.read("speaker(Speaker)")))
-            prefix.append(Step(StepKind.CONSTRAINT, reader.read("hearer(Hearer)")))
-        schemas.append(
-            ActionSchema(
-                name=cur["name"],
-                head=cur["head"],
-                steps=tuple(prefix + steps),
-                effect=cur["effect"],
-                abstract=cur["abstract"],
-                specializes=cur["specializes"],
-            )
-        )
-        cur = None
 
-    for raw in _LIBRARY_TEXT.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        word, _, rest = line.partition(" ")
-        if word in ("schema", "abstract"):
-            flush()
-            specializes = None
-            if " specializes " in rest:
-                rest, _, specializes = rest.rpartition(" specializes ")
-                specializes = specializes.strip()
-            reader = TermReader(names)
-            head = reader.read(rest.strip())
-            if not isinstance(head, Compound):
-                raise PlanError(f"bad schema head {rest!r}")
-            cur = {
-                "name": head.functor,
-                "head": head,
-                "steps": [],
-                "effect": None,
-                "abstract": word == "abstract",
-                "specializes": specializes,
-                "reader": reader,
-            }
-            continue
-        if cur is None:
-            raise PlanError(f"schema text outside any schema: {line!r}")
-        reader = cur["reader"]
-        if word == "constraint":
-            cur["steps"].append(Step(StepKind.CONSTRAINT, reader.read(rest)))
-        elif word == "mental":
-            cur["steps"].append(Step(StepKind.MENTAL, reader.read(rest)))
-        elif word == "primitive":
-            term = reader.read(rest)
-            if not (isinstance(term, Compound) and term.functor in PRIMITIVES):
-                raise PlanError(f"not a surface primitive: {rest!r}")
-            if len(term.args) != PRIMITIVES[term.functor]:
-                raise PlanError(f"bad arity for {term.functor}: {rest!r}")
-            cur["steps"].append(Step(StepKind.PRIMITIVE, term))
-        elif word == "action":
-            cur["steps"].append(Step(StepKind.ACTION, reader.read(rest)))
-        elif word == "effect":
-            cur["effect"] = reader.read(rest)
+def _parse_schema(block: str, names: NameSource) -> ActionSchema:
+    """A `schema` or `abstract` head line, optionally naming the action it
+    specializes, then a line per step led by its kind and at most one
+    effect line. A schema that mentions an agent first asks who speaks and
+    who hears."""
+    reader = TermReader(names)
+    (word, head_text), *lines = [line.strip().split(" ", 1) for line in block.splitlines()]
+    head_text, _, specializes = head_text.partition(" specializes ")
+    head = reader.read(head_text)
+    steps, effect = [], None
+    for kind, text in lines:
+        if kind == "effect":
+            effect = reader.read(text)
         else:
-            raise PlanError(f"unknown schema line {line!r}")
-    flush()
-    return schemas
-
-
-def check_primitive_act(t: Term) -> None:
-    if not isinstance(t, Compound) or t.functor not in PRIMITIVES:
-        raise PlanError(f"not a surface act: {t!r}")
-    want = PRIMITIVES[t.functor]
-    if len(t.args) != want:
-        raise PlanError(f"{t.functor} takes {want} arguments")
+            steps.append(Step(StepKind(kind), reader.read(text)))
+    if "Speaker" in reader.vars or "Hearer" in reader.vars:
+        steps[:0] = [Step(StepKind.CONSTRAINT, reader.read(t)) for t in ("speaker(Speaker)", "hearer(Hearer)")]
+    return ActionSchema(head.functor, head, tuple(steps), effect, word == "abstract", specializes or None)

@@ -27,7 +27,7 @@ from collabref import (
     run_text,
 )
 from collabref.beliefs import SYSTEM, USER
-from collabref.plans import ItemKind
+from collabref.schemas import StepKind
 from collabref.terms import ListTerm, NameSource, Substitution, Var
 
 from conftest import DATA_DIR, SCENARIO_DIR, golden_state, make_state, opening_request, rule_numbers
@@ -156,7 +156,7 @@ def test_criterion_replacement_bundle_disambiguates():
         return False
     constraints = [
         i.term for i in rejected_plan.nodes[rejected_plan.root].items
-        if i.kind is ItemKind.CONSTRAINT
+        if i.kind is StepKind.CONSTRAINT
     ]
     assert any(mentions_termination(t) for t in constraints)
     assert result.plan is by_schema["replace-plan"][0]

@@ -31,7 +31,6 @@ from collabref.planner import (
     canonical_orders,
     solve,
 )
-from collabref.plans import ItemKind
 from collabref.terms import (
     Lam,
     ListTerm,
@@ -491,7 +490,7 @@ def test_construction_names_every_root_before_it_expands_one():
     ms.speaker_step()
     plan = ms.ctx.plan("p15")
     assert (plan.nodes[plan.root].schema, plan.root) == ("postpone-plan", "n12")
-    assert [i.child for i in plan.nodes[plan.root].items if i.kind is ItemKind.CHILD] == ["n14"]
+    assert [i.child for i in plan.nodes[plan.root].items if i.child is not None] == ["n14"]
 
 
 # -- dead-end pruning ------------------------------------------------------------

@@ -17,7 +17,7 @@ from collabref import (
     mk,
 )
 from collabref.beliefs import SYSTEM, USER
-from collabref.plans import ItemKind, find_covering_node, substitute_node, unify_bridged
+from collabref.plans import find_covering_node, substitute_node, unify_bridged
 from collabref.terms import TermReader, canon, format_term, read_term
 
 from conftest import make_state
@@ -73,7 +73,7 @@ def naive_yield(plan):
             acts.append(plan.bindings.resolve(rec.content))
             return
         for item in rec.items:
-            if item.kind is ItemKind.CHILD:
+            if item.child is not None:
                 walk(item.child)
 
     walk(plan.root)
@@ -111,7 +111,7 @@ def test_walk_puts_a_childs_items_right_after_the_item_naming_it():
     def visit(name):
         for item in plan.nodes[name].items:
             expected.append((name, item))
-            if item.kind is ItemKind.CHILD:
+            if item.child is not None:
                 visit(item.child)
 
     visit(plan.root)
@@ -170,7 +170,7 @@ def descendants(plan, name):
 
     def walk(n):
         for item in plan.node(n).items:
-            if item.kind is ItemKind.CHILD:
+            if item.child is not None:
                 out.add(item.child)
                 walk(item.child)
 

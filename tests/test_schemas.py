@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from collabref import NameSource, PlanError, build_library
-from collabref.schemas import SchemaLibrary, StepKind, _library, _parse_library, check_primitive_act
+from collabref.schemas import SchemaLibrary, StepKind, _library, _parse_library
 from collabref.terms import Compound, Lam, TermReader, Var, canon, read_term, variables_of, visit
 
 
@@ -34,13 +36,15 @@ def test_library_holds_the_expected_schemas(names):
 
 def test_abstract_schemas_and_their_specializations(names):
     lib = build_library(names)
-    assert lib.is_abstract("modifiers")
-    assert lib.is_abstract("modifier")
-    assert not lib.is_abstract("headnoun")
+    assert lib.get("modifiers").abstract
+    assert lib.get("modifier").abstract
+    assert not lib.get("headnoun").abstract
     assert set(lib.specializations["modifiers"]) == {"modifiers-terminate", "modifiers-recurse"}
     assert set(lib.specializations["modifier"]) == {"modifier-absolute", "modifier-relative"}
-    assert lib.parent_of("modifier-relative") == "modifier"
-    assert lib.parent_of("refer") is None
+    assert lib.get("modifier-relative").specializes == "modifier"
+    assert lib.get("refer").specializes is None
+    assert "modifier-relative" in lib.concrete("modifier")
+    assert lib.concrete("refer") == ["refer"]
 
 
 def test_effect_schemas_are_the_utterable_roots(names):
@@ -111,11 +115,42 @@ def test_clarification_schemas_carry_plan_surgery_steps(names):
 
 
 def test_primitive_act_checking(names):
-    check_primitive_act(read_term("s-attrib(e1, lambda(X, category(X, c)))", names))
-    with pytest.raises(PlanError):
-        check_primitive_act(read_term("category(fern1, creature)", names))
-    with pytest.raises(PlanError):
-        check_primitive_act(read_term("s-refer(e1, extra)", names))
+    lib = build_library(names)
+    assert lib.is_surface_act(read_term("s-attrib(e1, lambda(X, category(X, c)))", names))
+    assert not lib.is_surface_act(read_term("category(fern1, creature)", names))
+    assert not lib.is_surface_act(read_term("s-refer(e1, extra)", names))
+
+
+def test_library_derives_the_vocabulary_it_once_listed_by_hand(names):
+    lib = build_library(names)
+    assert lib.primitives == {
+        "s-refer": 1,
+        "s-attrib": 2,
+        "s-attrib-rel": 3,
+        "s-accept": 1,
+        "s-reject": 2,
+        "s-postpone": 2,
+        "s-actions": 2,
+    }
+    # in library order, so an s-actions reading tries replacing before expanding
+    assert lib.meta_roots == {
+        "s-accept": ["accept-plan"],
+        "s-reject": ["reject-plan"],
+        "s-postpone": ["postpone-plan"],
+        "s-actions": ["replace-plan", "expand-plan"],
+    }
+    assert tuple(lib.concrete("modifier")) == ("modifier-absolute", "modifier-relative")
+
+
+def test_library_parse_is_pinned(names):
+    # every schema's name, step kinds and terms up to renaming (sharing
+    # included), effect, abstract flag and parent, in library order
+    digest = hashlib.sha256()
+    for sc in build_library(names).by_name.values():
+        whole = canon(Compound("$", tuple(_terms(sc))))
+        key = (sc.name, [st.kind.value for st in sc.steps], sc.effect is not None, whole, sc.abstract, sc.specializes)
+        digest.update(repr(key).encode() + b"\n")
+    assert digest.hexdigest() == "059e9ebf5bdecd556c7ad3aae709b84c3bef5b2bfd91ce7eeb893c830f837b8d"
 
 
 def test_duplicate_schema_names_rejected(names):
@@ -184,9 +219,9 @@ def test_library_copy_equals_a_fresh_parse(start):
     # its own variables, so it equals a direct parse up to renaming
     lib = build_library(NameSource())
     direct = SchemaLibrary(_parse_library(NameSource(start)))
-    assert lib.order == direct.order
+    assert list(lib.by_name) == list(direct.by_name)
     names = NameSource(start)
-    for name in lib.order:
+    for name in lib.by_name:
         inst, parsed = lib.get(name).instantiate(names), direct.get(name)
         assert [st.kind for st in inst.steps] == [st.kind for st in parsed.steps]
         assert (inst.abstract, inst.specializes) == (parsed.abstract, parsed.specializes)
