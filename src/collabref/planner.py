@@ -5,8 +5,11 @@ Three entry points share one constraint solver:
   evaluate(...)   walks a finished derivation in step order, committing
                   single-solution constraints, deferring multi-solution
                   ones, and blaming the first step that cannot hold
-  infer(...)      recognizes the plan behind a sequence of surface acts
-                  (chart over act spans, then evaluation for judgment)
+  infer(...)      recognizes the plan behind surface acts as heard, by a
+                  top-down parse over act spans that takes each head noun
+                  from anywhere in its entity's span and keeps one
+                  derivation per acts and shape, then evaluation for
+                  judgment
   construct(...)  builds the cheapest plan achieving a goal, by uniform
                   cost search over schema expansions (cost: primitive
                   count, then node count, then discovery order), dropping
@@ -433,26 +436,24 @@ class _TmpNode:
 
 def _match_steps(instance, i, span, s, ctx):
     """Yield (children, substitution) pairs deriving exactly this act span
-    from the instance's steps i onwards.
+    from the instance's steps i onwards; constraint and mental steps derive
+    no act, so they are stepped over in one loop.
 
     A schema choice, or a split of the span, that leaves some part fewer
     acts than it yields at the least or more than it yields at the most
-    is never tried: it could derive nothing, so the same parses come out
-    in the same order. A step whose schema cannot recurse takes exactly
-    as many acts as it can yield, so a run of n absolute modifiers costs
-    O(n^2) calls where trying every split would cost O(2^n).
+    is never tried: it could derive nothing, so the same parses come out.
     """
-    steps, least, most = instance.steps, ctx.library.least_from, ctx.library.most_from
-    if not least[instance.name][i] <= len(span) <= most[instance.name][i]:
+    steps = instance.steps
+    while i < len(steps) and steps[i].kind in (StepKind.CONSTRAINT, StepKind.MENTAL):
+        i += 1
+    least, most = ctx.library.least_from[instance.name], ctx.library.most_from[instance.name]
+    if not least[i] <= len(span) <= most[i]:
         return
     if i == len(steps):
         if not span:
             yield [], s
         return
     head = steps[i]
-    if head.kind in (StepKind.CONSTRAINT, StepKind.MENTAL):
-        yield from _match_steps(instance, i + 1, span, s, ctx)
-        return
     if head.kind is StepKind.PRIMITIVE:
         if span:
             s2 = unify(head.term, span[0], s)
@@ -462,18 +463,30 @@ def _match_steps(instance, i, span, s, ctx):
     expected = s.resolve(head.term)
     if not isinstance(expected, Compound):
         return
-    rest_least, rest_most = least[instance.name][i + 1], most[instance.name][i + 1]
-    for take, node, s3 in _derive(expected, span, s, ctx, rest_least, rest_most):
-        for others, s4 in _match_steps(instance, i + 1, span[take:], s3, ctx):
+    for rest, node, s3 in _derive(expected, span, s, ctx, least[i + 1], most[i + 1]):
+        for others, s4 in _match_steps(instance, i + 1, rest, s3, ctx):
             yield [node] + others, s4
 
 
 def _derive(expected, span, s, ctx, rest_least, rest_most):
-    """Yield (take, node, substitution) for each derivation of the action
-    `expected` from the first `take` acts of the span, leaving the rest of
-    it between rest_least and rest_most acts: by schema choice, then take,
-    then parse. Recognition and replanning both derive through here."""
+    """Yield (rest, node, substitution) for each derivation of the action
+    `expected` from acts of the span, leaving the `rest` of it, between
+    rest_least and rest_most acts, to the steps after it: by schema
+    choice, then the acts taken, then parse. Recognition and replanning
+    both derive through here.
+
+    An action that yields exactly one act (a head noun) may take it from
+    any position of the span: the schema fixes a node's steps and leaves
+    the noun's place free (an ID/LP split, Shieber 1984). Every other
+    action takes a prefix. Of the derivations that take the same acts,
+    only the first of each shape is kept: a later one binds nothing the
+    rest of the parse can see, so every completion of it would repeat
+    one of the first's. So the choices of noun add over entities, where
+    reparsing the turn once per choice multiplied them.
+    """
     least, most = ctx.library.least_from, ctx.library.most_from
+    anywhere = expected.functor in ctx.library.single_act
+    kept: dict[tuple[int, int], list] = {}  # by (first act taken, acts taken)
     for choice in ctx.library.concrete(expected.functor):
         fewest, most_child = (least[choice][0], most[choice][0]) if choice in least else (0, len(span))
         lo, hi = max(fewest, len(span) - rest_most), min(most_child, len(span) - rest_least)
@@ -484,14 +497,26 @@ def _derive(expected, span, s, ctx, rest_least, rest_most):
         if s2 is None:
             continue
         for take in range(lo, hi + 1):
-            for kids, s3 in _match_steps(child, 0, span[:take], s2, ctx):
-                yield take, _TmpNode(choice, child, kids), s3
+            for a in range(len(span) - take + 1) if anywhere else (0,):
+                for kids, s3 in _match_steps(child, 0, span[a:a + take], s2, ctx):
+                    node = _TmpNode(choice, child, kids)
+                    if _first_of_shape(kept.setdefault((a, take), []), node, s3):
+                        yield span[:a] + span[a + take:], node, s3
 
 
-def _parse_with_root(root_schema: str, acts: list[Term], ctx: PlannerContext):
-    instance = ctx.library.get(root_schema).instantiate(ctx.names)
-    for kids, s in _match_steps(instance, 0, acts, Substitution(), ctx):
-        yield _TmpNode(root_schema, instance, kids), s
+def _first_of_shape(kept: list, node: _TmpNode, s: Substitution) -> bool:
+    """Keep the derivation unless one kept before it from the same acts has
+    its shape. A signature is taken only once the same acts have a second
+    derivation, which most never do."""
+    sig = None
+    for entry in kept:
+        if entry[2] is None:
+            entry[2] = _parse_signature(entry[0], entry[1])
+        sig = sig or _parse_signature(node, s)
+        if entry[2] == sig:
+            return False
+    kept.append([node, s, sig])
+    return True
 
 
 def _materialize_node(
@@ -521,65 +546,15 @@ def _parse_signature(tmp: _TmpNode, s: Substitution) -> str:
     return canon(shape(tmp), s)
 
 
-def canonical_orders(acts: list[Term]) -> list[list[Term]]:
-    """Orderings of a description with each category attribution moved to
-    sit directly after its entity's introducing act.
-
-    Surface order puts qualities before the noun; derivations want the
-    noun first. One reordering per choice of noun act per entity, keeping
-    everything else stable. Sequences without the introducing act are
-    left alone.
-    """
-    refer_pos: dict[str, int] = {}
-    for i, act in enumerate(acts):
-        if isinstance(act, Compound) and act.functor == "s-refer":
-            refer_pos.setdefault(canon(act.args[0]), i)
-    noun_acts: dict[str, list[int]] = {}
-    for i, act in enumerate(acts):
-        if not (isinstance(act, Compound) and act.functor == "s-attrib"):
-            continue
-        pred = act.args[1]
-        if not (isinstance(pred, Lam) and len(pred.params) == 1):
-            continue
-        if isinstance(pred.body, Compound) and pred.body.functor == "category":
-            key = canon(act.args[0])
-            if key in refer_pos:
-                noun_acts.setdefault(key, []).append(i)
-    if not noun_acts:
-        return [list(acts)]
-    entity_keys = sorted(noun_acts, key=lambda k: refer_pos[k])
-    picks = [noun_acts[k] for k in entity_keys]
-    orders: list[list[Term]] = []
-    seen: set[tuple[str, ...]] = set()
-    for combo in itertools.product(*picks):
-        chosen = dict(zip(entity_keys, combo))
-        out: list[Term] = []
-        moved = set(chosen.values())
-        for i, act in enumerate(acts):
-            if i in moved:
-                continue
-            out.append(act)
-            if isinstance(act, Compound) and act.functor == "s-refer":
-                key = canon(act.args[0])
-                if key in chosen:
-                    out.append(acts[chosen[key]])
-        sig = tuple(canon(a) for a in out)
-        if sig not in seen:
-            seen.add(sig)
-            orders.append(out)
-    return orders
-
-
 def infer(
     ctx: PlannerContext,
     acts: list[Term],
     expected_plan: str | None = None,
 ) -> InferenceResult:
-    """Recognize and judge the plan behind a sequence of surface acts.
-
-    For referring acts every canonical ordering is parsed; for the
-    clarification acts the root comes from the act itself, and parses
-    about some other plan than the one under discussion are dropped.
+    """Recognize and judge the plan behind a sequence of surface acts, as
+    heard: a description is derived from `refer`, and a clarification act
+    from each root it starts, dropping parses about some other plan than
+    the one under discussion.
     """
     if not all(ctx.library.is_surface_act(act) for act in acts):
         return InferenceResult(Verdict.NO_DERIVATION)
@@ -587,20 +562,13 @@ def infer(
     meta = any(a.functor in roots for a in acts)
     if meta and len(acts) != 1:
         return InferenceResult(Verdict.NO_DERIVATION)
-    readings = (
-        [(root, acts) for root in roots[acts[0].functor]] if meta
-        else [("refer", order) for order in canonical_orders(acts)]
-    )
     about = Const(expected_plan) if meta and expected_plan is not None else None
     parses: list[tuple[_TmpNode, Substitution]] = []
-    seen: set[str] = set()
-    for root, order in readings:
-        for tmp, s in _parse_with_root(root, order, ctx):
-            if about is not None and s.walk(tmp.instance.head.args[0]) != about:
-                continue
-            sig = _parse_signature(tmp, s)
-            if sig not in seen:
-                seen.add(sig)
+    for root in roots[acts[0].functor] if meta else ["refer"]:
+        # the root's template head binds only its own variables, which no
+        # state mints, and so copies nothing
+        for _, tmp, s in _derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0):
+            if about is None or s.walk(tmp.instance.head.args[0]) == about:
                 parses.append((tmp, s))
     if not parses:
         return InferenceResult(Verdict.NO_DERIVATION)

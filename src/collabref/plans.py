@@ -133,19 +133,34 @@ def find_covering_node(
 
     Matching unifies the two act lists, so the caller's acts may contain
     variables. Returns None when no node matches or when two incomparable
-    nodes do.
+    nodes do. One walk lists the surface acts in utterance order and, for
+    each action node in pre-order, the stretch of the walk and of the acts
+    that lies under it.
     """
+    leaves: list[Term] = []
+    under: dict[str, tuple[int, ...]] = {}
+
+    def visit(name: str) -> None:
+        start, first = len(under), len(leaves)
+        under[name] = ()  # keeps the node's place in pre-order
+        for item in plan.nodes[name].items:
+            if item.kind is StepKind.PRIMITIVE:
+                leaves.append(plan.content_of(item.child))
+            elif item.kind is StepKind.ACTION:
+                visit(item.child)
+        under[name] = (start, len(under), first, len(leaves))
+
+    visit(plan.root)
     wanted = ListTerm(tuple(acts))
     matches: list[tuple[str, Substitution]] = []
-    for name in plan.action_nodes():
-        cur = unify(wanted, ListTerm(tuple(plan.yield_of(name))), s)
+    for name, (_, _, first, last) in under.items():
+        cur = unify(wanted, ListTerm(tuple(leaves[first:last])), s) if last - first == len(acts) else None
         if cur is not None:
             matches.append((name, cur))
-    # keep only matches with no matching descendant
-    names = {n for n, _ in matches}
+    # keep only matches with no matching descendant, which follow them in pre-order
     deepest = [
         (name, sub) for name, sub in matches
-        if not any(i.child in names for _, i in plan.walk(name))
+        if not any(under[name][0] < under[other][0] < under[name][1] for other, _ in matches)
     ]
     if len(deepest) != 1:
         return None

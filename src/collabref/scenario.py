@@ -16,8 +16,9 @@ Lines starting with `#` (or trailing `#` comments) are ignored. A user
 turn lists the acts of one contribution, separated by `;`, all sharing
 one variable table; its s-refer, s-attrib and s-attrib-rel acts name
 constant entities, and each of its lambdas uses every parameter and has no
-free variable. `current` in a user turn names the plan under
-discussion. A system turn is either `expect <pattern>`, matched by
+free variable. No object or entity may be named like the plan and node
+ids the engine mints (`p7`, `n12`). `current` in a user turn names the
+plan under discussion. A system turn is either `expect <pattern>`, matched by
 unification against the system's next utterance (a list pattern matches
 the whole utterance, a single act pattern an utterance of one act), or
 `run`, which lets the system speak unchecked. Consecutive system lines
@@ -30,6 +31,7 @@ same bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .beliefs import BeliefBase, Bucket
@@ -58,6 +60,9 @@ _SECTIONS = _FACT_SECTIONS + _NAME_SECTIONS + ("turns",)
 
 # How many leading arguments of each referring act name entities.
 _ENTITY_ARGS = {"s-refer": 1, "s-attrib": 1, "s-attrib-rel": 2}
+# The form of the plan and node ids the engine mints, which an object or
+# entity name would be mistaken for.
+_MINTED_ID = re.compile(r"[pn][0-9]+")
 
 
 @dataclass
@@ -90,16 +95,16 @@ def load_scenario(text: str, names: NameSource) -> Scenario:
         head, colon, rest = line.partition(":")
         head = head.strip()
         if colon and head in _SECTIONS:
-            section = head
-            rest = rest.strip()
-            if rest:
-                if section == "turns" or section in _FACT_SECTIONS:
-                    raise ScenarioError(f"section {section} takes indented lines", lineno)
-                getattr(sc, section).extend(rest.split())
-            continue
-        if section is None:
+            section, line = head, rest.strip()
+            if not line:
+                continue
+            if section == "turns" or section in _FACT_SECTIONS:
+                raise ScenarioError(f"section {section} takes indented lines", lineno)
+        elif section is None:
             raise ScenarioError(f"content before any section: {line!r}", lineno)
         if section in _NAME_SECTIONS:
+            for name in line.split() if section == "objects" else ():
+                _check_not_minted("object", name, lineno)
             getattr(sc, section).extend(line.split())
         elif section in _FACT_SECTIONS:
             getattr(sc, section).append(_read_fact(line, lineno, names, sc))
@@ -107,6 +112,11 @@ def load_scenario(text: str, names: NameSource) -> Scenario:
             sc.turns.append(_read_turn(head, rest, colon, lineno, names))
     _validate(sc)
     return sc
+
+
+def _check_not_minted(what: str, name: str, lineno: int) -> None:
+    if _MINTED_ID.fullmatch(name):
+        raise ScenarioError(f"{what} name {name} has the form of a plan or node id", lineno)
 
 
 def _read_fact(line: str, lineno: int, names: NameSource, sc: Scenario) -> Term:
@@ -147,6 +157,7 @@ def _read_turn(head: str, rest: str, colon: str, lineno: int, names: NameSource)
                             f"{act.functor} needs a constant entity, got {format_term(arg)}",
                             lineno,
                         )
+                    _check_not_minted("entity", arg.name, lineno)
             visit(act, lambda t, bound: _check_lambda(t, bound, lineno))
             acts.append(act)
         return Turn(lineno, "user", acts=acts)

@@ -29,7 +29,8 @@ free variables, which each schema lists once. Variables have
 their own stream in a `NameSource`, so none of this moves a public plan or
 node id. The library also records, once, the fewest and the most surface
 acts each schema can yield, which lets recognition skip act spans too
-short or too long to derive.
+short or too long to derive, and so the actions that yield exactly one
+act, which recognition lets take it from anywhere in the parent's span.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ class SchemaLibrary:
                     self.meta_roots.setdefault(act.functor, []).append(sc.name)
         self.least_from = self._yields(schemas, min, 0)
         self.most_from = self._yields(schemas, max, _UNBOUNDED)
+        # the actions that yield exactly one act, such as a head noun or a
+        # root that utters one clarification act
+        self.single_act = {n for n, ys in self.least_from.items() if ys[0] == self.most_from[n][0] == 1}
 
     def _yields(self, schemas: list[ActionSchema], pick, unknown: int) -> dict[str, tuple[int, ...]]:
         """For each schema, the fewest (pick=min) or the most (pick=max)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -22,15 +23,14 @@ from collabref import (
     construct,
     evaluate,
     infer,
+    build_state,
+    load_scenario,
     mk,
     run_text,
 )
 from collabref import planner
 from collabref.beliefs import SYSTEM, USER, BeliefBase
-from collabref.planner import (
-    canonical_orders,
-    solve,
-)
+from collabref.planner import solve
 from collabref.terms import (
     Lam,
     ListTerm,
@@ -41,6 +41,7 @@ from collabref.terms import (
     read_term,
 )
 
+import recognition_reference
 import worldgen
 from conftest import DATA_DIR, SCENARIO_DIR, golden_state, make_state, opening_request
 
@@ -249,7 +250,7 @@ def test_equation_bridges_abstract_shapes():
 def test_canonical_orders_normalize_the_noun_first():
     ms = golden_state()
     acts = opening_request(ms)
-    orders = canonical_orders(acts)
+    orders = recognition_reference.canonical_orders(acts)
     assert len(orders) == 1
     order = orders[0]
     assert sorted(canon(a) for a in order) == sorted(canon(a) for a in acts)
@@ -259,7 +260,7 @@ def test_canonical_orders_normalize_the_noun_first():
 
 def test_canonical_orders_pass_single_acts_through(names):
     act = read_term("s-accept(p1)", names)
-    assert canonical_orders([act]) == [[act]]
+    assert recognition_reference.canonical_orders([act]) == [[act]]
 
 
 def test_opening_description_with_two_candidates_is_judged_in_error():
@@ -336,6 +337,124 @@ def test_reevaluating_a_candidate_is_stable():
     again = evaluate(plan, ms.ctx)
     assert again.valid == first.valid
     assert again.error_node == first.error_node
+
+
+# -- the head noun's place inside its entity's span ---------------------------
+
+def user_acts(ms, lines):
+    """The acts of a user turn, read by the hearer, who notes its entities."""
+    reader = TermReader(ms.names)
+    acts = [reader.read(line) for line in lines]
+    for act in acts:
+        if act.functor == "s-refer":
+            ms.names.note_entity(act.args[0].name)
+    return acts
+
+
+def heard(result):
+    """What a recognition result says: its verdict, the plan it settles on
+    and every candidate's id, judgment and acts."""
+    return (
+        result.kind, result.plan and result.plan.id, result.error_node,
+        [(p.id, v.valid, v.error_node, [format_term(a) for a in p.yield_of()]) for p, v in result.candidates],
+    )
+
+
+def infer_both(world, lines):
+    """The new and the reference recognizer's readings of the turn, each
+    by a fresh hearer of the world."""
+    out = []
+    for recognize in (infer, recognition_reference.infer):
+        ms = make_state(world.objects, world.fact_lines(), modifier_preds=world.preds(),
+                        rel_preds=list(worldgen.RELATION_POOL))
+        ms.ctx.persp = Perspective("user", "system")
+        out.append(heard(recognize(ms.ctx, user_acts(ms, lines))))
+    return out
+
+
+def entity_span(rng, world, entity, obj, entities, depth):
+    """A well-formed span for one entity, mostly true of the object obj: its
+    s-refer, then in random order one or two category acts (sometimes the
+    same one twice), up to two absolute modifiers and, at most two levels
+    deep, a relational modifier that names a new entity by a span of its own."""
+    def pick(truth, pool):
+        return truth if rng.random() < 0.8 else rng.choice(pool)
+
+    categories = sorted(set(world.categories.values()))
+    nouns = [pick(world.categories[obj], categories) for _ in range(rng.randint(1, 2))]
+    if len(nouns) == 2 and rng.random() < 0.3:
+        nouns[1] = nouns[0]
+    units = [[f"s-attrib({entity}, lambda(X, category(X, {c})))"] for c in nouns]
+    for pred in rng.sample(world.preds(), rng.randint(0, min(2, len(world.preds())))):
+        value = pick(world.attributes[pred][obj], worldgen.ATTRIBUTE_POOL[pred])
+        units.append([f"s-attrib({entity}, lambda(X, {pred}(X, {value})))"])
+    if depth < 2 and rng.random() < 0.6:
+        related = [(r, b) for r, a, b in world.relations or [] if a == obj]
+        if not related or rng.random() < 0.2:
+            related = [(r, b) for r in worldgen.RELATION_POOL for b in world.objects]
+        rel, other_obj = rng.choice(related)
+        other = f"entity{next(entities)}"
+        units.append([f"s-attrib-rel({entity}, {other}, lambda(X, Y, {rel}(X, Y)))"]
+                     + entity_span(rng, world, other, other_obj, entities, depth + 1))
+    rng.shuffle(units)
+    return [f"s-refer({entity})"] + [line for unit in units for line in unit]
+
+
+def test_recognition_agrees_with_the_reordering_reference_on_well_formed_turns():
+    """Choosing each head noun inside its entity's span reads every
+    well-formed turn as reparsing each reordering with the noun moved first
+    did: the same candidates under the same ids, judgments and acts."""
+    rng = random.Random(16)
+    reordered = related = 0
+    kinds = set()
+    for _ in range(100):
+        world = worldgen.random_world(rng, max_rels=2)
+        lines = entity_span(rng, world, "entity1", rng.choice(world.objects), itertools.count(2), 0)
+        new, reference = infer_both(world, lines)
+        assert new == reference, lines
+        kinds.add(new[0])
+        related += any(line.startswith("s-attrib-rel(") for line in lines)
+        reordered += len(recognition_reference.canonical_orders([read_term(line, NameSource()) for line in lines])) > 1
+    assert kinds == {Verdict.UNDERSTOOD, Verdict.ERROR_AT, Verdict.AMBIGUOUS}, kinds
+    assert related > 40 and reordered > 30, (related, reordered)
+
+
+def hear_golden(lines, recognize):
+    ms = golden_state()
+    ms.ctx.persp = Perspective("user", "system")
+    return recognize(ms.ctx, user_acts(ms, lines)).kind
+
+
+CREATURE = "s-attrib(entity1, lambda(X, category(X, creature)))"
+ON_TV = ["s-attrib-rel(entity1, entity2, lambda(X, Y, on(X, Y)))", "s-refer(entity2)"]
+TELEVISION = "s-attrib(entity2, lambda(X, category(X, television)))"
+WEIRD = "s-attrib(entity1, lambda(X, assessment(X, weird)))"
+
+
+@pytest.mark.parametrize("lines", [
+    # the head noun comes before its entity's s-refer
+    [CREATURE, "s-refer(entity1)"] + ON_TV + [TELEVISION],
+    # entity2's head noun comes after a later act of entity1's
+    ["s-refer(entity1)", CREATURE] + ON_TV + [WEIRD, TELEVISION],
+])
+def test_a_category_act_outside_its_entitys_span_no_longer_parses(lines):
+    # reordering the turn read both as the creature on the television; a head
+    # noun is now looked for only inside its own entity's span
+    assert hear_golden(lines, recognition_reference.infer) is Verdict.UNDERSTOOD
+    assert hear_golden(lines, infer) is Verdict.NO_DERIVATION
+
+
+def test_a_reading_that_needs_a_noun_from_outside_its_entitys_span_is_gone():
+    # entity2's second television comes after entity1's second creature; the
+    # reordering found that reading beside the one where entity1's nouns swap
+    lines = ["s-refer(entity1)", CREATURE] + ON_TV + [TELEVISION, CREATURE, TELEVISION]
+    assert hear_golden(lines, recognition_reference.infer) is Verdict.AMBIGUOUS
+    assert hear_golden(lines, infer) is Verdict.ERROR_AT
+
+
+def test_a_head_noun_is_found_anywhere_in_its_entitys_span():
+    lines = ["s-refer(entity1)", WEIRD] + ON_TV + [TELEVISION, CREATURE]
+    assert hear_golden(lines, infer) is Verdict.UNDERSTOOD
 
 
 # -- construction -------------------------------------------------------------
@@ -779,7 +898,8 @@ def description_lines(rng):
 
 
 def parse_signatures(ctx, root, acts):
-    return [planner._parse_signature(tmp, s) for tmp, s in planner._parse_with_root(root, acts, ctx)]
+    derived = planner._derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0)
+    return [planner._parse_signature(tmp, s) for _, tmp, s in derived]
 
 
 def test_recognition_skips_only_splits_that_derive_nothing(monkeypatch):
@@ -830,18 +950,15 @@ class CountedHearing:
 
         monkeypatch.setattr(planner, "_match_steps", counting)
 
-    def hear(self, ms, lines, budget):
-        reader = TermReader(ms.names)
-        acts = [reader.read(line) for line in lines]
-        for act in acts:
-            if act.functor == "s-refer":
-                ms.names.note_entity(act.args[0].name)
+    def hear(self, ms, lines, budget, verdict=Verdict.UNDERSTOOD):
+        acts = user_acts(ms, lines)
         self.calls, self.budget = 0, budget
         began = time.perf_counter()
         result = ms.hearer_step(acts)
         assert time.perf_counter() - began < LONG_TURN_SECONDS
-        assert result.kind is Verdict.UNDERSTOOD
-        assert ms.ctx.plan_judgments[result.plan.id] == ("achieve", Const("obj1"))
+        assert result.kind is verdict
+        if verdict is Verdict.UNDERSTOOD:
+            assert ms.ctx.plan_judgments[result.plan.id] == ("achieve", Const("obj1"))
         return self.calls
 
 
@@ -879,3 +996,17 @@ def test_recognition_of_relational_modifiers_stays_polynomial(monkeypatch):
         counts[k] = hearing.hear(ms, lines, len(lines) ** 3 // 2)
     # doubling k less than doubles the turn, and cubic growth at most octuples the work
     assert counts[8] < 8 * counts[4], counts
+
+
+def test_two_category_acts_on_each_of_eight_related_entities_parse_in_few_calls(monkeypatch):
+    # each o_j is both a c_j and a d_j: reordering the turn once per choice of
+    # head noun took 256 parses and about 4.5 million calls; each noun is now
+    # chosen inside its entity's span. The second category act still reads
+    # as a modifier, and category is no modifier predicate.
+    hearing = CountedHearing(monkeypatch)
+    names = NameSource()
+    sc = load_scenario((DATA_DIR / "long_turn.scn").read_text(), names)
+    ms = build_state(sc, names)
+    lines = [format_term(act) for act in sc.turns[0].acts]
+    assert len(lines) == 34
+    assert hearing.hear(ms, lines, 50_000, Verdict.ERROR_AT) < 50_000

@@ -18,7 +18,7 @@ from collabref import (
 )
 from collabref.beliefs import SYSTEM, USER
 from collabref.plans import find_covering_node, substitute_node, unify_bridged
-from collabref.terms import TermReader, canon, format_term, read_term
+from collabref.terms import ListTerm, TermReader, canon, format_term, read_term, unify
 
 from conftest import make_state
 
@@ -147,6 +147,32 @@ def test_find_covering_node_full_single_and_none():
     assert find_covering_node(plan, foreign, plan.bindings) is None
     # a span of two leaves from different subtrees has no covering node
     assert find_covering_node(plan, [acts[1], acts[3]], plan.bindings) is None
+
+
+def covering_node_by_yields(plan, acts, s):
+    """Reference: unify the acts with each action node's own yield, and keep
+    the one match that no matching descendant lies under."""
+    matches = [
+        (name, cur) for name in plan.action_nodes()
+        if (cur := unify(ListTerm(tuple(acts)), ListTerm(tuple(plan.yield_of(name))), s)) is not None
+    ]
+    names = {n for n, _ in matches}
+    deepest = [(n, sub) for n, sub in matches if not any(i.child in names for _, i in plan.walk(n))]
+    return deepest[0] if len(deepest) == 1 else None
+
+
+@pytest.mark.parametrize("rel, target", [(False, "a1"), (False, "tv1"), (True, "a1"), (True, "a2")])
+def test_find_covering_node_agrees_with_a_yield_per_node_on_every_run_of_acts(rel, target):
+    plan = build_refer(referring_state(rel), target)
+    acts = plan.yield_of()
+    found = set()
+    for i in range(len(acts) + 1):
+        for j in range(i, len(acts) + 1):
+            got = find_covering_node(plan, acts[i:j], plan.bindings)
+            want = covering_node_by_yields(plan, acts[i:j], plan.bindings)
+            assert (got and got[0]) == (want and want[0]), (i, j)
+            found.add(got and plan.node(got[0]).schema)
+    assert {None, "refer", "headnoun"} <= found, found
 
 
 def test_unify_bridged_crosses_abstraction(names):

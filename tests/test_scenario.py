@@ -13,7 +13,7 @@ import pytest
 from collabref import NameSource, ScenarioError, load_scenario, run_text
 from collabref.cli import main
 from collabref.scenario import run_scenario
-from collabref.terms import MAX_TERM_DEPTH, is_ground
+from collabref.terms import MAX_TERM_DEPTH, is_ground, read_term
 
 from conftest import DATA_DIR, SCENARIO_DIR
 
@@ -402,6 +402,54 @@ def test_an_entity_number_too_long_to_read_is_a_scenario_error(tmp_path, capsys,
     assert "Traceback" not in capsys.readouterr().err
 
 
+# An object named like a plan id: the user model's error(p1, n3) would be
+# read as a judgment of the user's own plan p1, and the user's rejection
+# would retract achieve(p1, ...) of it.
+MINTED_OBJECT = """\
+objects: p1 fern1
+common_ground:
+  category(fern1, creature)
+user_model:
+  error(p1, n3)
+turns:
+  user: s-refer(entity1); s-attrib(entity1, lambda(X, category(X, creature)))
+  system: run
+  user: s-reject(current, [s-refer(entity1)])
+  system: run
+"""
+
+
+def test_an_object_named_like_a_plan_id_is_a_scenario_error(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="object name p1 has the form of a plan or node id") as err:
+        load(MINTED_OBJECT)
+    assert err.value.line == 1
+    scenario = tmp_path / "minted.scn"
+    scenario.write_text(MINTED_OBJECT)
+    assert main(["run", str(scenario), "--trace"]) == 2
+    captured = capsys.readouterr()
+    assert "line 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "old, new, line, fragment",
+    [
+        ("objects: fern1 tv1", "objects: fern1\n  tv1 n22", 2, "object name n22"),
+        ("s-refer(entity1); s-attrib(entity1,", "s-refer(p7); s-attrib(p7,", 6, "entity name p7"),
+        ("s-attrib(entity1, lambda(X, category(X, creature)))",
+         "s-attrib-rel(entity1, n12, lambda(X, Y, on(X, Y)))", 6, "entity name n12"),
+    ],
+)
+def test_objects_and_entities_named_like_minted_ids_are_scenario_errors(old, new, line, fragment):
+    with pytest.raises(ScenarioError, match=fragment) as err:
+        load(SIMPLE.replace(old, new))
+    assert err.value.line == line
+
+
+def test_names_that_only_start_like_minted_ids_load():
+    sc = load(SIMPLE.replace("objects: fern1 tv1", "objects: fern1 tv1 p1x pen1 n p"))
+    assert sc.objects[2:] == ["p1x", "pen1", "n", "p"]
+
+
 def test_cli_run_exit_two_on_scenario_error(tmp_path, capsys):
     broken = tmp_path / "broken.scn"
     broken.write_text("turns:\n  user: s-refer(entity1)\n")
@@ -449,23 +497,25 @@ def test_cli_check_names_the_file_that_fails_to_load(tmp_path, capsys, broken):
     ("zz", "s-actions(current, [s-attrib(entity1, lambda(X, category(X, creature)))])"),
     ("zz", "s-reject(current, [s-refer(entity1)])"),
 ], ids=["content-of-a-compound", "content-of-no-node", "yield-of-no-node"])
-def test_cli_a_clarification_at_a_node_the_plan_lacks_is_not_understood(
-    tmp_path, capsys, node, clarification
-):
+def test_cli_a_clarification_at_a_node_the_plan_lacks_is_not_understood(node, clarification):
     # the user model blames plan p1 at a node it does not have, so the
-    # clarification's yield or content lookup must find no solution
-    path = tmp_path / "hostile.scn"
-    path.write_text(
-        "objects: p1 fern1\n"
+    # clarification's yield or content lookup must find no solution. A
+    # scenario file can no longer name an object p1, which is how it once
+    # held this belief, so the belief is added to the loaded scenario.
+    names = NameSource()
+    sc = load_scenario(
+        "objects: fern1\n"
         "common_ground:\n  category(fern1, creature)\n"
-        f"user_model:\n  error(p1, {node})\n"
         "turns:\n"
         "  user: s-refer(entity1); s-attrib(entity1, lambda(X, category(X, creature)))\n"
-        f"  user: {clarification}\n"
+        f"  user: {clarification}\n",
+        names,
     )
-    assert main(["run", str(path)]) == 1
-    ending = capsys.readouterr().out.splitlines()[-2:]
-    assert ending[0].startswith("not understood: ") and ending[1] == "dialogue ended unresolved"
+    sc.user_model.append(read_term(f"error(p1, {node})", names))
+    transcript = run_scenario(sc, names)
+    assert not transcript.ok  # `collabref run` exits 1
+    assert transcript.lines[-2].startswith("not understood: ")
+    assert transcript.lines[-1] == "dialogue ended unresolved"
 
 
 def nested_scenario(act_depth=3, fact_depth=2):
