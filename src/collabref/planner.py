@@ -280,21 +280,24 @@ def _admitted(
     place that decides how the query is answered (an agent, or the whole
     proposition), as in every `subset` of the schema library. A ground
     member is looked up among the ground answers by `canon` key, which
-    agree exactly when ground terms unify; any other pair is unified.
+    agree exactly when ground terms unify; any other pair is unified. A
+    constant's key is its name, so an answer bound to a constant, or a
+    constant member, is keyed without a walk.
     """
     v = ctx.names.fresh_var("X")
     answers = ctx.base.query(apply_lambda(test, (v,)), ctx.persp, s)
     ground: set[str] = set()
     rest: list[Substitution] = []
     for a in answers:
-        key, is_ground = canon_ground(a.resolve(v))
+        value = a.walk(v)
+        key, is_ground = (value.name, True) if type(value) is Const else canon_ground(a.resolve(value))
         if is_ground:
             ground.add(key)
         else:
             rest.append(a)
     keep: list[Term] = []
     for member in members:
-        key, is_ground = canon_ground(member)
+        key, is_ground = (member.name, True) if type(member) is Const else canon_ground(member)
         if is_ground and key in ground:
             keep.append(member)
         elif any(unify(v, member, a) is not None for a in (rest if is_ground else answers)):

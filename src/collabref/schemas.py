@@ -40,7 +40,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import PlanError
-from .terms import Compound, Lam, ListTerm, NameSource, Term, TermReader, Var, variables_of
+from .terms import Compound, Const, Lam, ListTerm, NameSource, Term, TermReader, Var, variables_of
 
 # More surface acts than any span holds: the yield of a schema that cannot
 # be derived at all.
@@ -93,14 +93,15 @@ class ActionSchema:
 def _copy(t: Term, mapping: dict[int, Var]) -> Term:
     """t with its variables renamed by uid. A lambda parameter in mapping is
     renamed along with its occurrences, which keeps the lambda the same up
-    to renaming, so no scope needs tracking."""
+    to renaming, so no scope needs tracking. A leaf argument is copied in
+    place: the walk calls itself only on a compound, list or lambda."""
     kind = type(t)
     if kind is Var:
         return mapping.get(t.uid, t)
-    if kind is Compound:
-        return Compound(t.functor, tuple([_copy(a, mapping) for a in t.args]))
-    if kind is ListTerm:
-        return ListTerm(tuple([_copy(i, mapping) for i in t.items]))
+    if kind is Compound or kind is ListTerm:
+        new = tuple([a if type(a) is Const else mapping.get(a.uid, a) if type(a) is Var else _copy(a, mapping)
+                     for a in (t.args if kind is Compound else t.items)])
+        return Compound(t.functor, new) if kind is Compound else ListTerm(new)
     if kind is Lam:
         params = tuple([mapping.get(p.uid, p) for p in t.params])
         return Lam(params, _copy(t.body, mapping))
@@ -312,6 +313,6 @@ def _parse_schema(block: str, names: NameSource) -> ActionSchema:
             effect = reader.read(text)
         else:
             steps.append(Step(StepKind(kind), reader.read(text)))
-    if "Speaker" in reader.vars or "Hearer" in reader.vars:
+    if "Speaker" in reader.words or "Hearer" in reader.words:
         steps[:0] = [Step(StepKind.CONSTRAINT, reader.read(t)) for t in ("speaker(Speaker)", "hearer(Hearer)")]
     return ActionSchema(head.functor, head, tuple(steps), effect, word == "abstract", specializes or None)

@@ -11,21 +11,24 @@ predicate position is (or becomes) a lambda.
 
 Term walks go through `map_term`, which rebuilds a term leaf by leaf, or
 `visit`, which calls a function on every subterm in pre-order; both pass
-along the parameters of the enclosing lambdas. Only the hot `resolve`,
-`unify` and occurs check, and `canon` and `format_term`, which build
-their own syntax, keep their own recursion. The hot three pay only for
-variables: they dispatch on exact type (no term class has a subclass),
-walk only a variable, and never call themselves on a constant, which a
-compound or list compares by name or keeps in place. The solver walks
-only the top of a constraint; a query goal is resolved once, in
-`BeliefBase.query`. `canon_ground` gives a term's `canon` key and
-whether it is ground from that one walk, since the walk numbers the free
-variables anyway.
+along the parameters of the enclosing lambdas. The hot walks keep their own
+recursion and one leaf rule: they dispatch on exact type (no term class has
+a subclass) and never call themselves on a constant, which a compound or
+list handles in place. `resolve`, `unify` and the occurs check walk only a
+variable and compare or keep a constant; `canon` writes a constant's name;
+`schemas._copy` also maps a variable argument in place; the reader builds
+an argument that opens nothing inside its parent's loop, taking a word it
+has read before from its table. The solver walks only the top of a
+constraint; a query goal is resolved once, in `BeliefBase.query`.
+`canon_ground` gives a term's `canon` key and whether it is ground from
+that one walk, since the walk numbers the free variables anyway.
 
 The reader tokenizes with one compiled regular expression, which gives
 the tokens, and the first bad character, that a character-by-character
 scan with `str.isalnum` and `str.isspace` would: `\\w` is exactly
-`isalnum()` or `_` and `\\s` is exactly `isspace()`.
+`isalnum()` or `_` and `\\s` is exactly `isspace()`. It checks the tokens
+one by one only when one search of the text finds a character that is no
+word character, space or punctuation mark: a hyphen, or a bad character.
 """
 
 from __future__ import annotations
@@ -413,10 +416,10 @@ def _canon(x: Term, bound: dict[int, str], depth: int, numbering: dict[int, int]
         if x.uid not in numbering:
             numbering[x.uid] = len(numbering)
         return f"?{numbering[x.uid]}"
-    if kind is Compound:
-        return x.functor + "(" + ",".join([_canon(a, bound, depth, numbering) for a in x.args]) + ")"
-    if kind is ListTerm:
-        return "[" + ",".join([_canon(i, bound, depth, numbering) for i in x.items]) + "]"
+    if kind is Compound or kind is ListTerm:
+        inner = ",".join([a.name if type(a) is Const else _canon(a, bound, depth, numbering)
+                          for a in (x.args if kind is Compound else x.items)])
+        return f"{x.functor}({inner})" if kind is Compound else f"[{inner}]"
     inner = dict(bound)
     level = f"{depth}:" if depth else ""
     for n, p in enumerate(x.params):
@@ -473,73 +476,83 @@ class TermReader:
       a = b                     infix equality, usable at top level or as arg
 
     Terms nested deeper than MAX_TERM_DEPTH raise TermSyntaxError.
-    One reader instance keeps one variable table, so every `E` in a turn's
-    worth of text is the same variable.
+    One reader instance keeps one table of the constants and named
+    variables it has read, so every `E` in a turn's worth of text is the
+    same variable, and a constant that repeats in a world is made once.
     """
 
     def __init__(self, names: NameSource):
         self.names = names
-        self.vars: dict[str, Var] = {}
+        self.words: dict[str, Const | Var] = {}
 
     def read(self, text: str) -> Term:
         tokens = _tokenize(text)
         term, pos = self._parse(tokens, 0, 0)
-        term, pos = self._maybe_eq(term, tokens, pos, 0)
+        if pos < len(tokens) and tokens[pos] == "=":
+            term, pos = self._chain(term, tokens, pos, 0)
         if pos != len(tokens):
             raise TermSyntaxError(f"trailing input at token {pos} in {text!r}")
         return term
 
-    def _maybe_eq(self, left: Term, tokens: list[str], pos: int, depth: int):
-        if pos < len(tokens) and tokens[pos] == "=":
-            right, pos = self._parse(tokens, pos + 1, depth + 1)
-            right, pos = self._maybe_eq(right, tokens, pos, depth + 1)
-            return mk("=", left, right), pos
-        return left, pos
-
     def _parse(self, tokens: list[str], pos: int, depth: int) -> tuple[Term, int]:
-        """Parse one term whose enclosing structures number `depth`."""
+        """Parse one term whose enclosing structures number `depth`, building
+        each argument that opens nothing in the loop: a flat fact is one call."""
         if depth > MAX_TERM_DEPTH:
             raise TermSyntaxError(f"term nested deeper than {MAX_TERM_DEPTH} levels")
-        if pos >= len(tokens):
+        end = len(tokens)
+        if pos >= end:
             raise TermSyntaxError("unexpected end of input")
         tok = tokens[pos]
+        pos += 1
         if tok == "[":
-            items, pos = self._sequence(tokens, pos + 1, depth, "]", "list")
-            return ListTerm(tuple(items)), pos
-        if tok in ("(", ")", "]", ",", "="):
+            close = "]"
+        elif tok in _PUNCTUATION:
             raise TermSyntaxError(f"unexpected {tok!r}")
-        # word token
-        if pos + 1 < len(tokens) and tokens[pos + 1] == "(":
-            args, pos = self._sequence(tokens, pos + 2, depth, ")", "argument list")
-            if tok == "lambda":
-                return self._mk_lambda(args), pos
-            return Compound(tok, tuple(args)), pos
-        if tok == "_":
-            return self.names.fresh_var("_"), pos + 1
-        if tok[0].isupper() or tok[0] == "_":
-            if tok not in self.vars:
-                self.vars[tok] = self.names.fresh_var(tok)
-            return self.vars[tok], pos + 1
-        return Const(tok), pos + 1
-
-    def _sequence(
-        self, tokens: list[str], pos: int, depth: int, close: str, what: str
-    ) -> tuple[list[Term], int]:
-        """Comma-separated terms from pos up to and past the close token."""
-        items: list[Term] = []
-        if pos < len(tokens) and tokens[pos] == close:
-            return items, pos + 1
-        while True:
-            item, pos = self._parse(tokens, pos, depth + 1)
-            item, pos = self._maybe_eq(item, tokens, pos, depth + 1)
-            items.append(item)
-            if pos >= len(tokens):
-                raise TermSyntaxError(f"unterminated {what}")
-            if tokens[pos] == close:
-                return items, pos + 1
-            if tokens[pos] != ",":
-                raise TermSyntaxError(f"expected , or {close} but got {tokens[pos]!r}")
+        elif pos < end and tokens[pos] == "(":
+            close = ")"
             pos += 1
+        else:
+            return self.words.get(tok) or self._word(tok), pos
+        items: list[Term] = []
+        sep = ","
+        if pos < end and tokens[pos] == close:
+            sep, pos = close, pos + 1
+        while sep != close:
+            word = tokens[pos] if pos < end else "("
+            # an item that opens something, is missing or is too deep goes to _parse
+            if word not in _PUNCTUATION and (pos + 1 == end or tokens[pos + 1] != "(") and depth < MAX_TERM_DEPTH:
+                item, pos = self.words.get(word) or self._word(word), pos + 1
+            else:
+                item, pos = self._parse(tokens, pos, depth + 1)
+            if pos < end and tokens[pos] == "=":
+                item, pos = self._chain(item, tokens, pos, depth + 1)
+            items.append(item)
+            if pos >= end:
+                raise TermSyntaxError(f"unterminated {'list' if close == ']' else 'argument list'}")
+            sep = tokens[pos]
+            pos += 1
+            if sep != close and sep != ",":
+                raise TermSyntaxError(f"expected , or {close} but got {sep!r}")
+        if close == "]":
+            return ListTerm(tuple(items)), pos
+        if tok == "lambda":
+            return self._mk_lambda(items), pos
+        return Compound(tok, tuple(items)), pos
+
+    def _chain(self, left: Term, tokens: list[str], pos: int, depth: int) -> tuple[Term, int]:
+        """`left = right` from the `=` at pos; right is a level deeper and may chain."""
+        right, pos = self._parse(tokens, pos + 1, depth + 1)
+        if pos < len(tokens) and tokens[pos] == "=":
+            right, pos = self._chain(right, tokens, pos, depth + 1)
+        return mk("=", left, right), pos
+
+    def _word(self, tok: str) -> Const | Var:
+        """Make the constant or variable a word not yet in the table names;
+        `_` is a new variable each time and never enters the table."""
+        if tok == "_":
+            return self.names.fresh_var("_")
+        self.words[tok] = term = self.names.fresh_var(tok) if tok[0].isupper() or tok[0] == "_" else Const(tok)
+        return term
 
     def _mk_lambda(self, args: list[Term]) -> Lam:
         if len(args) not in (2, 3):
@@ -551,16 +564,19 @@ class TermReader:
         return Lam(tuple(params), args[-1])  # type: ignore[arg-type]
 
 
-# a word, whose hyphens only join word characters (s-refer); a punctuation
-# mark; or any other non-space character, which `_tokenize` rejects
-_TOKEN = re.compile(r"\w+(?:-+\w+)*|[()\[\],=]|\S")
+_PUNCTUATION = frozenset("()[],=")
+# a punctuation mark; a word, whose hyphens only join word characters
+# (s-refer); or any other non-space character, which `_tokenize` rejects
+_TOKEN = re.compile(r"[()\[\],=]|\w+(?:-+\w+)*|\S")
+_SUSPECT = re.compile(r"[^\w\s()\[\],=]")  # a hyphen or a bad character
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = _TOKEN.findall(text)
-    for tok in tokens:
-        if len(tok) == 1 and tok not in "()[],=" and not (tok.isalnum() or tok == "_"):
-            raise TermSyntaxError(f"bad character {tok!r} in {text!r}")
+    if _SUSPECT.search(text):
+        for tok in tokens:
+            if len(tok) == 1 and tok not in _PUNCTUATION and not (tok.isalnum() or tok == "_"):
+                raise TermSyntaxError(f"bad character {tok!r} in {text!r}")
     return tokens
 
 

@@ -16,6 +16,21 @@ from collabref import (
     build_library,
 )
 
+NESTED_KINDS = ("compound", "list", "chain", "lambda")
+
+
+def nested_text(kind: str, depth: int) -> str:
+    """Term text whose innermost term sits under `depth` enclosing
+    structures of one kind: `f(`, `[`, `=` operands or `lambda(X, `."""
+    if kind == "compound":
+        return "f(" * depth + "a" + ")" * depth
+    if kind == "list":
+        return "[" * (depth + 1) + "]" * (depth + 1)
+    if kind == "chain":
+        return " = ".join(["a"] * (depth + 1))
+    return "lambda(X, " * depth + "a" + ")" * depth
+
+
 GOLDEN_OBJECTS = ["antenna1", "fern1", "tv1", "corner1"]
 GOLDEN_FACTS = [
     "category(antenna1, creature)",

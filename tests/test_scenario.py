@@ -15,7 +15,7 @@ from collabref.cli import main
 from collabref.scenario import run_scenario
 from collabref.terms import MAX_TERM_DEPTH, is_ground, read_term
 
-from conftest import DATA_DIR, SCENARIO_DIR
+from conftest import DATA_DIR, NESTED_KINDS, SCENARIO_DIR, nested_text
 
 SIMPLE = """\
 objects: fern1 tv1
@@ -568,6 +568,33 @@ def test_terms_at_the_nesting_limit_load_and_run(where):
     assert run_text(text).lines[-1].startswith("dialogue ")
     with pytest.raises(ScenarioError, match="nested deeper"):
         load(nested_scenario(**{where: MAX_TERM_DEPTH + 1}))
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
+@pytest.mark.parametrize("where, line", [("fact", 4), ("act", 6)])
+def test_one_level_past_the_nesting_limit_is_a_scenario_error(tmp_path, capsys, kind, where, line):
+    # 101 nested f( or lambda(X, around a constant, 102 nested [, 102 = operands
+    deep = nested_text(kind, MAX_TERM_DEPTH + 1)
+    fact, act = (deep, "s-accept(p1)") if where == "fact" else ("size(fern1, small)", deep)
+    text = (
+        "objects: fern1\n"
+        "common_ground:\n"
+        "  category(fern1, creature)\n"
+        f"  {fact}\n"
+        "turns:\n"
+        f"  user: s-refer(entity1); s-attrib(entity1, lambda(X, category(X, creature))); {act}\n"
+        "  system: run\n"
+    )
+    with pytest.raises(ScenarioError, match="nested deeper") as err:
+        load(text)
+    assert err.value.line == line
+    path = tmp_path / "deep.scn"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert f"line {line}: term nested deeper than {MAX_TERM_DEPTH} levels" in err_text
+    assert "Traceback" not in err_text
 
 
 def test_cli_check_reports_every_bundled_scenario(capsys):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from collabref import NameSource, PlanError, build_library
+from collabref import schemas
 from collabref.schemas import SchemaLibrary, StepKind, _library, _parse_library
-from collabref.terms import Compound, Lam, TermReader, Var, canon, read_term, variables_of, visit
+from collabref.terms import (
+    Compound, Lam, ListTerm, TermReader, Var, canon, read_term, variables_of, visit,
+)
 
 
 def test_library_holds_the_expected_schemas(names):
@@ -86,6 +90,27 @@ def test_instantiate_renames_consistently_and_apart(names):
     assert refer_step.term.args[0] == entity
     # and effect variables stay linked to the head's
     assert entity in variables_of(one.effect)
+
+
+def test_instantiate_copies_each_compound_list_and_lambda_once_and_no_leaf(names, monkeypatch):
+    headnoun = build_library(names).get("headnoun")
+    parts = [headnoun.head] + [st.term for st in headnoun.steps] + [headnoun.effect]
+    template = Compound("$schema", tuple(p for p in parts if p is not None))
+    nodes = []
+    visit(template, lambda x, _bound: nodes.append(type(x)))
+    real_copy = schemas._copy
+    copied = []
+
+    def counting_copy(t, mapping):
+        copied.append(type(t))
+        return real_copy(t, mapping)
+
+    monkeypatch.setattr(schemas, "_copy", counting_copy)
+    copy = headnoun.instantiate(names)
+    # every node but the $schema wrapper, which instantiate does not build
+    assert Counter(copied) == Counter(k for k in nodes[1:] if k in (Compound, ListTerm, Lam))
+    parts = [copy.head] + [st.term for st in copy.steps] + [copy.effect]
+    assert canon(Compound("$schema", tuple(p for p in parts if p is not None))) == canon(template)
 
 
 def test_instantiate_links_effect_only_variables_within_one_copy(names):

@@ -36,6 +36,7 @@ from collabref import (
 )
 from collabref import terms
 from collabref.terms import (
+    MAX_TERM_DEPTH,
     _tokenize,
     apply_lambda,
     canon_ground,
@@ -43,6 +44,9 @@ from collabref.terms import (
     rename_apart,
     variables_of,
 )
+
+from conftest import NESTED_KINDS, nested_text
+from reader_reference import ReferenceReader
 
 UNIVERSE = [Const("a"), Const("b"), Const("c")]
 
@@ -302,6 +306,25 @@ def test_resolve_and_unify_make_no_call_on_a_constant(monkeypatch):
     assert terms.unify(left, mk("f", a, ListTerm((b, c)), x), Substitution()) is not None
     # the term, its list and its variable; no call for a, b or c
     assert calls == {"resolve": 3, "unify": 3}
+
+
+def test_reading_and_keying_a_flat_fact_make_one_call_each(monkeypatch):
+    calls = {"_parse": 0, "_canon": 0}
+    real_parse, real_canon = TermReader._parse, terms._canon
+
+    def counting_parse(self, tokens, pos, depth):
+        calls["_parse"] += 1
+        return real_parse(self, tokens, pos, depth)
+
+    def counting_canon(x, bound, depth, numbering):
+        calls["_canon"] += 1
+        return real_canon(x, bound, depth, numbering)
+
+    monkeypatch.setattr(TermReader, "_parse", counting_parse)
+    monkeypatch.setattr(terms, "_canon", counting_canon)
+    fact = TermReader(NameSource()).read("size(thing3, large)")
+    assert canon_ground(fact) == ("size(thing3,large)", True)
+    assert calls == {"_parse": 1, "_canon": 1}
 
 
 def test_unify_finds_every_ground_common_instance():
@@ -809,13 +832,9 @@ def tokens_or_error(tokenize, text):
 
 # ASCII and other letters and digits (Arabic-Indic three, superscript two,
 # Roman numeral twelve), Unicode spaces, hyphens, punctuation, bad characters
-TOKEN_TEXT = st.lists(
-    st.sampled_from(
-        list("aZ_09-()[],= \t\n") + ["é", "ß", "Ω", "中", "٣", "²", "Ⅻ", "\u00a0", "\u2003",
-                                        "\u3000", "$", "'", ".", "·", "\u200b", "\u2010"]
-    ),
-    max_size=24,
-).map("".join)
+TOKEN_CHARS = list("aZ_09-()[],= \t\n") + ["é", "ß", "Ω", "中", "٣", "²", "Ⅻ", "\u00a0", "\u2003",
+                                            "\u3000", "$", "'", ".", "·", "\u200b", "\u2010"]
+TOKEN_TEXT = st.lists(st.sampled_from(TOKEN_CHARS), max_size=24).map("".join)
 
 
 @TERM_SETTINGS
@@ -827,3 +846,55 @@ TOKEN_TEXT = st.lists(
 @example("f(é-ß, Ⅻ²)\u3000=\u00a0X")
 def test_regex_tokenizer_agrees_with_the_character_loop(text):
     assert tokens_or_error(_tokenize, text) == tokens_or_error(char_loop_tokenize, text)
+
+
+# words, anonymous and named variables, hyphens, lambdas, `=`, punctuation
+# and the characters of TOKEN_TEXT, loose or around a term nested just
+# under, at or just past the depth limit; and the text of generated terms
+READER_PIECES = st.sampled_from(
+    ["a", "thing3", "s-refer", "a-", "X", "Obj", "_", "_y", "lambda(", "lambda", "f(", " = ", ", "]
+    + TOKEN_CHARS
+)
+LOOSE_TEXT = st.lists(READER_PIECES, max_size=16).map("".join)
+DEEP_TEXT = st.builds(
+    nested_text,
+    st.sampled_from(NESTED_KINDS),
+    st.sampled_from([MAX_TERM_DEPTH - 1, MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1]),
+)
+READER_TEXT = st.one_of(
+    LOOSE_TEXT,
+    TERMS.map(format_term),
+    st.tuples(st.sampled_from(["", "g(", "[b, ", "b = ", "lambda(Y, "]), DEEP_TEXT,
+              st.sampled_from(["", ")", "]", " = b", ", c)"])).map("".join),
+)
+
+
+def read_each(reader_class, texts: list[str]) -> list[str]:
+    """What one reader makes of each text in turn, then the next variable
+    uid its name source would mint."""
+    names = NameSource()
+    reader = reader_class(names)
+    out = []
+    for text in texts:
+        try:
+            out.append(repr(reader.read(text)))
+        except TermSyntaxError as err:
+            out.append(f"error: {err}")
+    return out + [f"next uid {names.fresh_var().uid}"]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(READER_TEXT, min_size=1, max_size=3))
+@example(["size(thing3, large)", "size(thing4, large)"])
+@example(["f(X, _, [Y, X = a = b], lambda(Z, g(Z, _)))", "h(X, _)"])
+@example(["f(a,)", "[a b]", "f(a", "", "a = ", "lambda(a, b)", "s--refer-"])
+@example([nested_text(kind, MAX_TERM_DEPTH + extra) for kind in NESTED_KINDS for extra in (0, 1)])
+def test_reader_agrees_with_the_reference_reader(texts):
+    assert read_each(TermReader, texts) == read_each(ReferenceReader, texts)
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
+def test_reader_takes_the_depth_limit_and_refuses_one_level_more(names, kind):
+    read_term(nested_text(kind, MAX_TERM_DEPTH), names)
+    with pytest.raises(TermSyntaxError, match=f"nested deeper than {MAX_TERM_DEPTH} levels"):
+        read_term(nested_text(kind, MAX_TERM_DEPTH + 1), names)
