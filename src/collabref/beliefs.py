@@ -26,9 +26,12 @@ Renaming mints variables only, and variables have their own stream in a
 NameSource, so how many propositions a query renames moves no plan or
 node id: transcripts do not depend on the index.
 
-Queries arrive as goal terms (bel(...), bmb(...), world(...), plain facts)
-and answer with a list of substitutions, one per solution, in a stable
-order: bucket insertion order, with derived readings after stored ones.
+Queries arrive as goal terms of the seven forms the schema library asks,
+one row each of QUERIES: speaker(...), hearer(...), world(...),
+bmb(...), bel(...), modifier-pred(...) and modifier-rel-pred(...). Any
+other form is a QueryError. A query answers with a list of substitutions,
+one per solution, in a stable order: bucket insertion order, with
+derived readings after stored ones.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import QueryError
@@ -85,7 +89,6 @@ class _Store:
     def __init__(self) -> None:
         self.entries: list[Entry] = []
         self.keys: set[str] = set()
-        self.functors: set[str] = set()
         self.ground: dict[tuple, list[Entry]] = {}
         self.nonground: dict[tuple, list[Entry]] = {}
         self.loose: list[Entry] = []  # non-ground and not a compound
@@ -98,7 +101,6 @@ class _Store:
             if not ground:
                 self.loose.append(entry)
             return
-        self.functors.add(prop.functor)
         top = (prop.functor, len(prop.args))
         if not ground:
             self.nonground.setdefault(top, []).append(entry)
@@ -122,7 +124,6 @@ class _Store:
                     index[key] = kept
                 else:
                     del index[key]
-        self.functors = {k[0] for k in self.ground} | {k[0] for k in self.nonground}
 
     def candidates(self, key: tuple | None):
         """Every entry that could unify with a pattern of this key, in order.
@@ -207,26 +208,12 @@ class BeliefBase:
 
     def query(self, goal: Term, persp: Perspective, s: Substitution) -> list[Substitution]:
         goal = s.resolve(goal)
-        if isinstance(goal, Compound):
-            f = goal.functor
-            if f == "speaker" and len(goal.args) == 1:
-                return _unit(unify(goal.args[0], Const(persp.speaker), s))
-            if f == "hearer" and len(goal.args) == 1:
-                return _unit(unify(goal.args[0], Const(persp.hearer), s))
-            if f == "world" and len(goal.args) == 1:
-                return _unit(unify(goal.args[0], self.world, s))
-            if f == "bmb" and len(goal.args) == 3:
-                return self._query_bmb(goal, s)
-            if f == "bel" and len(goal.args) == 2:
-                return self._query_bel(goal.args[0], goal.args[1], s)
-            if f == "goal" and len(goal.args) == 2:
-                return self._query_goal(goal, s)
-            if f == "modifier-pred" and len(goal.args) == 1:
-                return self._query_modifier_pred(goal.args[0], s)
-            if f == "modifier-rel-pred" and len(goal.args) == 1:
-                return self._query_modifier_rel_pred(goal.args[0], s)
-            return self._query_fact(goal, s)
-        raise QueryError(f"cannot interpret query goal {goal!r}")
+        if not isinstance(goal, Compound):
+            raise QueryError(f"cannot interpret query goal {goal!r}")
+        answer = QUERIES.get((goal.functor, len(goal.args)))
+        if answer is None:
+            raise QueryError(f"no way to answer {goal.functor}/{len(goal.args)} queries")
+        return answer(self, goal, persp, s)
 
     def _query_bmb(self, goal: Compound, s: Substitution) -> list[Substitution]:
         a, b, prop = goal.args
@@ -281,74 +268,48 @@ class BeliefBase:
         out.extend(self._scan(Bucket.COMMON_GROUND, prop, s))
         return _dedup(out, prop)
 
-    def _query_goal(self, goal: Compound, s: Substitution) -> list[Substitution]:
-        agent = s.walk(goal.args[0])
-        out = self._scan(Bucket.COMMON_GROUND, goal, s)
-        if agent == SYSTEM or isinstance(agent, Var):
-            for s2 in self._scan(Bucket.GOALS, goal.args[1], s):
-                s3 = unify(goal.args[0], SYSTEM, s2)
-                if s3 is not None:
-                    out.append(s3)
-        return _dedup(out, goal)
-
-    def _query_modifier_pred(self, pred: Term, s: Substitution) -> list[Substitution]:
+    def _query_modifier(self, pred: Term, arity: int, s: Substitution) -> list[Substitution]:
+        """modifier-pred(Pred) (arity 1) or modifier-rel-pred(Pred) (arity
+        2). A given lambda passes when it takes that many parameters and
+        its body is of a modifier predicate of that kind. An open Pred is
+        bound to each filter there is: an absolute one per distinct value
+        the common ground gives its predicate, a relational one per
+        predicate."""
+        functors = self.modifier_preds if arity == 1 else self.modifier_rel_preds
         pred = s.walk(pred)
         if isinstance(pred, Lam):
             body = pred.body
-            ok = (
-                len(pred.params) == 1
-                and isinstance(body, Compound)
-                and body.functor in self.modifier_preds
-            )
+            ok = len(pred.params) == arity and isinstance(body, Compound) and body.functor in functors
             return [s] if ok else []
         if not isinstance(pred, Var):
             return []
         out: list[Substitution] = []
-        seen: set[tuple[str, str]] = set()
-        store = self._stores[Bucket.COMMON_GROUND]
-        for functor in self.modifier_preds:
-            for _, fact, _ in store.candidates((functor, 2)):
-                if not (isinstance(fact, Compound) and fact.functor == functor):
-                    continue
-                key = (functor, canon(fact.args[1]))
-                if key in seen:
-                    continue
-                seen.add(key)
-                x = self.names.fresh_var("X")
-                s2 = unify(pred, Lam((x,), mk(functor, x, fact.args[1])), s)
+        for functor in functors:
+            # a relational filter leaves its other object open
+            for value in self._values(functor) if arity == 1 else (None,):
+                params = tuple(self.names.fresh_var(n) for n in "XY"[:arity])
+                body = mk(functor, params[0], params[1] if value is None else value)
+                s2 = unify(pred, Lam(params, body), s)
                 if s2 is not None:
                     out.append(s2)
         return out
 
-    def _query_modifier_rel_pred(self, pred: Term, s: Substitution) -> list[Substitution]:
-        pred = s.walk(pred)
-        if isinstance(pred, Lam):
-            body = pred.body
-            ok = (
-                len(pred.params) == 2
-                and isinstance(body, Compound)
-                and body.functor in self.modifier_rel_preds
-            )
-            return [s] if ok else []
-        if not isinstance(pred, Var):
-            return []
-        out: list[Substitution] = []
-        for functor in self.modifier_rel_preds:
-            x = self.names.fresh_var("X")
-            y = self.names.fresh_var("Y")
-            lam = Lam((x, y), mk(functor, x, y))
-            s2 = unify(pred, lam, s)
-            if s2 is not None:
-                out.append(s2)
-        return out
+    def _values(self, functor: str) -> list[Term]:
+        """The distinct second arguments of the common ground's functor/2
+        facts, oldest first."""
+        values: dict[str, Term] = {}
+        for _, fact, _ in self._stores[Bucket.COMMON_GROUND].candidates((functor, 2)):
+            if isinstance(fact, Compound) and fact.functor == functor:
+                values.setdefault(canon(fact.args[1]), fact.args[1])
+        return list(values.values())
 
     def inseparable(self, referent: Const, other: Const) -> bool:
         """Whether the other object passes every modifier filter the referent
         passes: for each modifier and relational predicate F, every mutually
         believed F(referent, v) has a mutually believed F(other, v).
 
-        Those are the filters `_query_modifier_pred` and
-        `_query_modifier_rel_pred` can build for the referent, so no
+        Those are the filters `_query_modifier` can build for the
+        referent, so no
         description can rule the other object out. Reads the common-ground
         index without renaming or minting anything. Values are compared as
         terms, and a non-ground fact that could be of one of those
@@ -365,16 +326,6 @@ class BeliefBase:
                     return False
         return True
 
-    def _query_fact(self, goal: Compound, s: Substitution) -> list[Substitution]:
-        known = set(self.modifier_preds) | set(self.modifier_rel_preds)
-        known.update(("category", "error", "achieve", "replace", "plan"))
-        stored = self._stores[Bucket.COMMON_GROUND].functors, self._stores[Bucket.PRIVATE].functors
-        if goal.functor not in known and not any(goal.functor in f for f in stored):
-            raise QueryError(f"no way to answer {goal.functor}/{len(goal.args)} queries")
-        out = self._scan(Bucket.COMMON_GROUND, goal, s)
-        out.extend(self._scan(Bucket.PRIVATE, goal, s))
-        return _dedup(out, goal)
-
     def _scan(self, bucket: Bucket, pattern: Term, s: Substitution) -> list[Substitution]:
         out: list[Substitution] = []
         for _, item, ground in self._stores[bucket].candidates(_key(pattern, s)):
@@ -384,7 +335,22 @@ class BeliefBase:
         return out
 
 
+# The belief query forms, by (functor, arity), and how each is answered.
+# Every constraint of the schema library that the planner does not solve
+# itself is one of these.
+QUERIES: dict[tuple[str, int], Callable[..., list[Substitution]]] = {
+    ("speaker", 1): lambda base, goal, persp, s: _unit(unify(goal.args[0], Const(persp.speaker), s)),
+    ("hearer", 1): lambda base, goal, persp, s: _unit(unify(goal.args[0], Const(persp.hearer), s)),
+    ("world", 1): lambda base, goal, persp, s: _unit(unify(goal.args[0], base.world, s)),
+    ("bmb", 3): lambda base, goal, persp, s: base._query_bmb(goal, s),
+    ("bel", 2): lambda base, goal, persp, s: base._query_bel(goal.args[0], goal.args[1], s),
+    ("modifier-pred", 1): lambda base, goal, persp, s: base._query_modifier(goal.args[0], 1, s),
+    ("modifier-rel-pred", 1): lambda base, goal, persp, s: base._query_modifier(goal.args[0], 2, s),
+}
+
+
 def _unit(s: Substitution | None) -> list[Substitution]:
+    """The one solution s, or none if s is None."""
     return [s] if s is not None else []
 
 

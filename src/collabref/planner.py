@@ -26,10 +26,11 @@ which schemas an abstract action stands for.
 
 The solver answers a list of solutions, or None for a constraint that
 must wait for a binding; a knowref the other agent holds is assumed, as
-the one solution that binds nothing. It knows the handful of non-query
-constraint forms: equality, negation as failure, candidate-set
-filtering, referent choice, plan yield and content lookups (a node the
-plan lacks has none), node substitution, and replanning. Candidate-set
+the one solution that binds nothing. One table, SOLVERS, keyed by functor
+and arity, names the forms it solves itself: equality, negation as
+failure, candidate-set filtering, referent choice, plan yield and content
+lookups (a node the plan lacks has none), node substitution, and
+replanning. Every other form is a belief query. Candidate-set
 filtering (`subset`) asks its test once, for a fresh variable, and keeps
 the members some answer admits, so a filter costs one belief query
 however many candidates it reads. Construction copies only the schemas
@@ -45,9 +46,10 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .beliefs import BeliefBase, Perspective, SYSTEM
+from .beliefs import SYSTEM, BeliefBase, Perspective, _unit
 from .errors import NoPlanError, PlanError
 from .plans import (
     NodeRecord,
@@ -147,124 +149,71 @@ class PlannerContext:
 # Constraint solving
 # ---------------------------------------------------------------------------
 
-QUERY_FORMS = {
-    "speaker", "hearer", "world", "bmb", "bel", "goal",
-    "modifier-pred", "modifier-rel-pred",
-}
-# forms about a plan, by arity: each waits until its first argument names one
-PLAN_FORMS = {"yield": 3, "content": 3, "substitute": 4, "replan": 2}
+# The solutions of a constraint, or None while it must wait for a binding.
+Solutions = list[Substitution] | None
 
 
-def solve(
-    term: Term, s: Substitution, ctx: PlannerContext, clarifying: bool = False
-) -> list[Substitution] | None:
+def solve(term: Term, s: Substitution, ctx: PlannerContext, clarifying: bool = False) -> Solutions:
     """Solutions of one constraint, or None while it must wait for a
-    binding. With clarifying on, as in every evaluation, replanning only
+    binding. A form with a row in SOLVERS is solved by it, once its first
+    argument names a plan if the row says so; any other form is a belief
+    query. With clarifying on, as in every evaluation, replanning only
     derives the given acts and records its verdict on the plan; acts that
     are not a list derive nothing. Construction solves with it off, so
     replanning completes the plan."""
     t = s.walk(term)
     if type(t) is not Compound:
         raise PlanError(f"cannot solve non-compound constraint {s.resolve(t)!r}")
-    f = t.functor
-
-    if f in QUERY_FORMS:
+    row = SOLVERS.get((t.functor, len(t.args)))
+    if row is None:
         return ctx.base.query(t, ctx.persp, s)
-
-    if PLAN_FORMS.get(f) == len(t.args) and isinstance(s.walk(t.args[0]), Var):
+    solver, about_plan = row
+    if about_plan and isinstance(s.walk(t.args[0]), Var):
         return None
+    return solver(t, s, ctx, clarifying)
 
-    if f == "knowref" and len(t.args) == 4:
-        holder = s.walk(t.args[0])
-        if holder != SYSTEM:  # what the other agent knows is assumed
-            return [s]
-        entity, obj = s.walk(t.args[2]), s.walk(t.args[3])
-        if isinstance(obj, Var):
-            return None
-        if isinstance(entity, Var):
-            minted = ctx.names.mint_entity()
-            s2 = unify(entity, minted, s)
-            assert s2 is not None
-            return [s2]
+
+def _solve_knowref(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
+    holder = s.walk(t.args[0])
+    if holder != SYSTEM:  # what the other agent knows is assumed
         return [s]
+    entity, obj = s.walk(t.args[2]), s.walk(t.args[3])
+    if isinstance(obj, Var):
+        return None
+    if isinstance(entity, Var):
+        return _unit(unify(entity, ctx.names.mint_entity(), s))
+    return [s]
 
-    if f == "subset" and len(t.args) == 3:
-        items, test, out = s.resolve(t.args[0]), s.walk(t.args[1]), t.args[2]
-        if isinstance(items, Var):
-            return None
-        if not isinstance(items, ListTerm):
-            raise PlanError(f"subset needs a list, got {format_term(items)}")
-        if not isinstance(test, Lam) or len(test.params) != 1:
-            raise PlanError("subset needs a one-place test")
-        keep = _admitted(items.items, test, s, ctx) if items.items else []
-        if not keep:
-            return []
-        s2 = unify(out, ListTerm(tuple(keep)), s)
-        return [s2] if s2 is not None else []
 
-    if f == "=" and len(t.args) == 2:
-        s2 = unify_bridged(t.args[0], t.args[1], s, ctx.library)
-        return [s2] if s2 is not None else []
+def _solve_subset(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
+    items, test, out = s.resolve(t.args[0]), s.walk(t.args[1]), t.args[2]
+    if isinstance(items, Var):
+        return None
+    if not isinstance(items, ListTerm):
+        raise PlanError(f"subset needs a list, got {format_term(items)}")
+    if not isinstance(test, Lam) or len(test.params) != 1:
+        raise PlanError("subset needs a one-place test")
+    keep = _admitted(items.items, test, s, ctx) if items.items else []
+    return _unit(unify(out, ListTerm(tuple(keep)), s)) if keep else []
 
-    if f == "not" and len(t.args) == 1:
-        sols = solve(t.args[0], s, ctx, clarifying)
-        return None if sols is None else [] if sols else [s]
 
-    if f == "pick-one" and len(t.args) == 2:
-        chosen, pool = s.walk(t.args[0]), s.resolve(t.args[1])
-        if isinstance(pool, Var):
-            return None
-        if not isinstance(pool, ListTerm):
-            raise PlanError("pick-one needs a list of candidates")
-        sols = []
-        for member in _pick_ordered(pool.items, ctx.pick_order):
-            s2 = unify(chosen, member, s)
-            if s2 is not None:
-                sols.append(s2)
-        return sols
+def _solve_equal(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
+    return _unit(unify_bridged(t.args[0], t.args[1], s, ctx.library))
 
-    if f == "yield" and len(t.args) == 3:
-        return _solve_yield(t, s, ctx)
 
-    if f == "content" and len(t.args) == 3:
-        target = _ref_plan(t.args[0], s, ctx)
-        node = s.walk(t.args[1])
-        if isinstance(node, Var):
-            named = target.action_nodes()
-        else:
-            named = [node.name] if isinstance(node, Const) and node.name in target.nodes else []
-        sols = []
-        for name in named:
-            s2 = unify(node, Const(name), s)
-            if s2 is None:
-                continue
-            s3 = unify_bridged(t.args[2], target.content_of(name), s2, ctx.library)
-            if s3 is not None:
-                sols.append(s3)
-        return sols
+def _solve_not(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
+    sols = solve(t.args[0], s, ctx, clarifying)
+    return None if sols is None else [] if sols else [s]
 
-    if f == "substitute" and len(t.args) == 4:
-        target = _ref_plan(t.args[0], s, ctx)
-        node = s.walk(t.args[1])
-        if not isinstance(node, Const):
-            return None
-        replacement = s.resolve(t.args[2])
-        try:
-            new_plan, s_new = substitute_node(
-                target, node.name, replacement, ctx.library, ctx.names
-            )
-        except PlanError:
-            return []
-        merged = s.merge(s_new)
-        new_plan.bindings = merged
-        ctx.register(new_plan)
-        s2 = unify(t.args[3], Const(new_plan.id), merged)
-        return [s2] if s2 is not None else []
 
-    if f == "replan" and len(t.args) == 2:
-        return _solve_replan(t, s, ctx, clarifying)
-
-    raise PlanError(f"no solver for constraint {f}/{len(t.args)}")
+def _solve_pick_one(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
+    chosen, pool = s.walk(t.args[0]), s.resolve(t.args[1])
+    if isinstance(pool, Var):
+        return None
+    if not isinstance(pool, ListTerm):
+        raise PlanError("pick-one needs a list of candidates")
+    sols = (unify(chosen, member, s) for member in _pick_ordered(pool.items, ctx.pick_order))
+    return [s2 for s2 in sols if s2 is not None]
 
 
 def _admitted(
@@ -318,34 +267,61 @@ def _ref_plan(t: Term, s: Substitution, ctx: PlannerContext) -> PlanDerivation:
     return ctx.plan(pid.name)
 
 
-def _solve_yield(t: Compound, s: Substitution, ctx: PlannerContext) -> list[Substitution]:
+def _solve_yield(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
     target = _ref_plan(t.args[0], s, ctx)
     node, acts = s.walk(t.args[1]), s.resolve(t.args[2])
     if isinstance(node, Const):
         if node.name not in target.nodes:
             return []
-        got = ListTerm(tuple(target.yield_of(node.name)))
-        s2 = unify(t.args[2], got, s)
-        return [s2] if s2 is not None else []
+        return _unit(unify(t.args[2], ListTerm(tuple(target.yield_of(node.name))), s))
     if not isinstance(acts, ListTerm):
         return []
     found = find_covering_node(target, list(acts.items), s)
     if found is None:
         return []
     name, s2 = found
-    s3 = unify(node, Const(name), s2)
-    return [s3] if s3 is not None else []
+    return _unit(unify(node, Const(name), s2))
 
 
-def _solve_replan(
-    t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool
-) -> list[Substitution]:
+def _solve_content(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
+    target = _ref_plan(t.args[0], s, ctx)
+    node = s.walk(t.args[1])
+    if isinstance(node, Var):
+        named = target.action_nodes()
+    else:
+        named = [node.name] if isinstance(node, Const) and node.name in target.nodes else []
+    sols = []
+    for name in named:
+        s2 = unify(node, Const(name), s)
+        if s2 is None:
+            continue
+        s3 = unify_bridged(t.args[2], target.content_of(name), s2, ctx.library)
+        if s3 is not None:
+            sols.append(s3)
+    return sols
+
+
+def _solve_substitute(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
+    target = _ref_plan(t.args[0], s, ctx)
+    node = s.walk(t.args[1])
+    if not isinstance(node, Const):
+        return None
+    replacement = s.resolve(t.args[2])
+    try:
+        new_plan, s_new = substitute_node(target, node.name, replacement, ctx.library, ctx.names)
+    except PlanError:
+        return []
+    merged = s.merge(s_new)
+    new_plan.bindings = merged
+    ctx.register(new_plan)
+    return _unit(unify(t.args[3], Const(new_plan.id), merged))
+
+
+def _solve_replan(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: bool) -> Solutions:
     target = _ref_plan(t.args[0], s, ctx)
     acts = s.resolve(t.args[1])
     if not target.unexpanded():
-        got = ListTerm(tuple(target.yield_of()))
-        s2 = unify(t.args[1], got, s)
-        return [s2] if s2 is not None else []
+        return _unit(unify(t.args[1], ListTerm(tuple(target.yield_of())), s))
     if clarifying:
         if not isinstance(acts, ListTerm):
             return []
@@ -353,9 +329,23 @@ def _solve_replan(
     if isinstance(acts, ListTerm):
         raise PlanError("replanning against given acts outside recognition")
     completed, added = complete_plan(target, ctx)
-    merged = s.merge(completed.bindings)
-    s2 = unify(t.args[1], ListTerm(tuple(added)), merged)
-    return [s2] if s2 is not None else []
+    return _unit(unify(t.args[1], ListTerm(tuple(added)), s.merge(completed.bindings)))
+
+
+# The constraint forms solve answers itself, by (functor, arity): each
+# form's solver, and whether the form waits until its first argument names
+# a plan. Every other form is a belief query (beliefs.QUERIES).
+SOLVERS: dict[tuple[str, int], tuple[Callable[..., Solutions], bool]] = {
+    ("knowref", 4): (_solve_knowref, False),
+    ("subset", 3): (_solve_subset, False),
+    ("=", 2): (_solve_equal, False),
+    ("not", 1): (_solve_not, False),
+    ("pick-one", 2): (_solve_pick_one, False),
+    ("yield", 3): (_solve_yield, True),
+    ("content", 3): (_solve_content, True),
+    ("substitute", 4): (_solve_substitute, True),
+    ("replan", 2): (_solve_replan, True),
+}
 
 
 def _replan_recognize(

@@ -90,18 +90,19 @@ def test_fact_queries_match_naive_membership(rng):
             else sorted(set(world.categories.values()))
         )
         value = rng.choice(values)
-        got = answers(base, names, f"{pred}(X, {value})")
+        # the system believes what it knows privately and what is common ground
+        got = answers(base, names, f"bel(system, {pred}(X, {value}))")
         want = sorted(
-            canon(TermReader(names).read(f"{pred}({o}, {value})"))
+            canon(TermReader(names).read(f"bel(system, {pred}({o}, {value}))"))
             for o in world.objects
             if f"{pred}({o}, {value})" in visible
         )
         assert got == want, f"round {round_no}: {pred}/{value}"
 
         # both arguments open: every stored pair must come back exactly once
-        got_all = answers(base, names, f"{pred}(X, Y)")
+        got_all = answers(base, names, f"bel(system, {pred}(X, Y))")
         want_all = sorted(
-            canon(TermReader(names).read(line))
+            canon(TermReader(names).read(f"bel(system, {line})"))
             for line in visible
             if line.startswith(f"{pred}(")
         )
@@ -109,18 +110,14 @@ def test_fact_queries_match_naive_membership(rng):
 
 
 def test_unknown_fact_functor_raises():
-    base, names = fresh_base(["fern1"])
+    base, names = fresh_base(["fern1"], ["size"])
     load(base, names, Bucket.COMMON_GROUND, ["category(fern1, creature)"])
-    with pytest.raises(QueryError):
-        base.query(read_term("texture(fern1, soft)", names), PERSP, Substitution())
-
-
-def test_stored_functors_become_queryable():
-    base, names = fresh_base(["fern1"])
     load(base, names, Bucket.PRIVATE, ["texture(fern1, soft)"])
-    assert answers(base, names, "texture(fern1, X)") == [
-        canon(read_term("texture(fern1, soft)", names))
-    ]
+    # a bare fact is no query form, whether or not it is stored or a modifier
+    for text in ("texture(fern1, soft)", "category(fern1, X)", "size(fern1, X)", "goal(system, X)"):
+        goal = read_term(text, names)
+        with pytest.raises(QueryError, match=f"no way to answer {goal.functor}/2 queries"):
+            base.query(goal, PERSP, Substitution())
 
 
 def test_attributed_belief_draws_from_three_sources():
@@ -181,16 +178,6 @@ def test_belief_with_unbound_agent_covers_both():
     goal2 = read_term("bel(A, achieve(p1, g1))", names)
     sols2 = base.query(goal2, PERSP, Substitution())
     assert len(sols2) == 1
-
-
-def test_goal_queries_surface_own_goals_as_system():
-    base, names = fresh_base(["fern1"])
-    base.assert_prop(Bucket.GOALS, read_term("bel(user, bel(system, error(p1, n1)))", names))
-    base.assert_prop(Bucket.COMMON_GROUND, read_term("goal(user, knowref(system, user, e1, fern1))", names))
-    own = answers(base, names, "goal(system, X)")
-    assert own == [canon(read_term("goal(system, bel(user, bel(system, error(p1, n1))))", names))]
-    both = answers(base, names, "goal(A, P)")
-    assert len(both) == 2
 
 
 def test_mutual_belief_needs_the_dialogue_pair():
@@ -292,12 +279,12 @@ def test_retract_matching_reads_only_the_patterns_key_and_rekeys_nothing(monkeyp
     assert [canon(t) for t in base.items(Bucket.COMMON_GROUND)] == [
         canon(t) for t in rebuilt.items(Bucket.COMMON_GROUND)
     ]
-    for query in ("size(X, Y)", "size(thing7, Y)", "bmb(system, user, size(thing8, Y))", "tint(X, Y)"):
+    for fact in ("size(X, Y)", "size(thing7, Y)", "size(thing8, Y)", "tint(X, Y)"):
+        query = f"bmb(system, user, {fact})"
         assert answers(base, names, query) == answers(rebuilt, rnames, query)
-    # once its last fact is gone, a functor no longer answers plain queries
+    # once its last fact is gone, a functor's key answers nothing
     base.retract_matching(Bucket.COMMON_GROUND, read_term("tint(X, Y)", names))
-    with pytest.raises(QueryError):
-        answers(base, names, "tint(X, Y)")
+    assert answers(base, names, "bmb(system, user, tint(X, Y))") == []
     assert base.assert_prop(Bucket.COMMON_GROUND, read_term("size(thing7, large)", names))
 
 

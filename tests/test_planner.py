@@ -28,9 +28,10 @@ from collabref import (
     mk,
     run_text,
 )
-from collabref import planner
+from collabref import beliefs, planner
 from collabref.beliefs import SYSTEM, USER, BeliefBase
 from collabref.planner import solve
+from collabref.schemas import StepKind
 from collabref.terms import (
     Lam,
     ListTerm,
@@ -105,7 +106,7 @@ def test_subset_keeps_matching_members_in_order():
     names = ctx.names
     out = names.fresh_var("Out")
     term = read_term(
-        "subset([fern1, tv1], lambda(X, category(X, creature)), Out)", names
+        "subset([fern1, tv1], lambda(X, bel(system, category(X, creature))), Out)", names
     )
     term = mk("subset", term.args[0], term.args[1], out)
     sols = solve(term, Substitution(), ctx)
@@ -115,7 +116,7 @@ def test_subset_keeps_matching_members_in_order():
     term2 = mk(
         "subset",
         ListTerm((Const("tv1"),)),
-        read_term("lambda(X, category(X, creature))", names),
+        read_term("lambda(X, bel(system, category(X, creature)))", names),
         names.fresh_var("Out2"),
     )
     assert solve(term2, Substitution(), ctx) == []
@@ -150,8 +151,8 @@ def subset_test(form, functor, value):
         body = mk("bmb", SYSTEM, USER, fact)
     elif form == "apply":  # the modifier schemas' shape: apply(Pred, X) inside bmb
         body = mk("bmb", SYSTEM, USER, mk("apply", Lam((PARAM,), fact), PARAM))
-    elif form == "fact":
-        body = fact
+    elif form == "nested":  # introspection: what the system believes the user believes
+        body = mk("bel", SYSTEM, mk("bel", USER, fact))
     else:
         body = mk("bel", SYSTEM if form == "system" else USER, fact)
     return Lam((PARAM,), body)
@@ -159,7 +160,7 @@ def subset_test(form, functor, value):
 
 TESTS = st.builds(
     subset_test,
-    st.sampled_from(["bmb", "apply", "fact", "system", "user"]),
+    st.sampled_from(["bmb", "apply", "nested", "system", "user"]),
     st.sampled_from(["colour", "size"]),
     st.one_of(VALUES, st.sampled_from(MEMBER_VARS)),
 )
@@ -243,6 +244,33 @@ def test_equation_bridges_abstract_shapes():
     concrete = lib.get("modifier-absolute").instantiate(names).head
     term = mk("=", read_term("modifier(E, O, C, N)", names), concrete)
     assert len(solve(term, Substitution(), ctx)) == 1
+
+
+def stated_forms(library):
+    """(functor, arity) of every constraint and mental step of the library,
+    and of the form inside each negation and each subset's test."""
+    forms = set()
+
+    def note(t):
+        forms.add((t.functor, len(t.args)))
+        if t.functor == "not":
+            note(t.args[0])
+        elif t.functor == "subset":
+            note(t.args[1].body)
+
+    for schema in library.by_name.values():
+        for step in schema.steps:
+            if step.kind in (StepKind.CONSTRAINT, StepKind.MENTAL):
+                note(step.term)
+    return forms
+
+
+def test_the_engine_answers_exactly_the_forms_the_library_states():
+    # a form no schema states, such as goal/2, has no solver and no query
+    solved, queried = set(planner.SOLVERS), set(beliefs.QUERIES)
+    assert not solved & queried
+    assert stated_forms(small_ctx().library) == solved | queried
+    assert ("goal", 2) not in solved | queried
 
 
 # -- recognition --------------------------------------------------------------
@@ -823,7 +851,7 @@ def test_a_subset_filter_resolves_the_list_the_goal_and_each_answer(monkeypatch)
 
 
 # forms whose solving changes no engine state, so they can be solved twice
-REPEATABLE = planner.QUERY_FORMS | {"subset", "=", "not", "pick-one", "yield", "content"}
+REPEATABLE = {f for f, _ in beliefs.QUERIES} | {"subset", "=", "not", "pick-one", "yield", "content"}
 
 
 def test_solve_gives_the_same_solutions_for_a_term_and_its_resolution(monkeypatch):
@@ -848,7 +876,7 @@ def test_solve_gives_the_same_solutions_for_a_term_and_its_resolution(monkeypatc
     for _ in range(6):
         world = worldgen.random_world(rng, max_objects=6, max_rels=1)
         describe_or_refuse(*world_case(world, world.objects[0]))
-    assert seen == REPEATABLE - {"goal"}, seen
+    assert seen == REPEATABLE, seen
 
 
 def test_random_dichotomy_worlds_agree_with_enumeration(rng):
