@@ -378,8 +378,9 @@ def _replan_recognize(
 
 def _assumable(term: Term, s: Substitution, ctx: PlannerContext, plan: PlanDerivation) -> bool:
     """A zero-solution constraint survives when the utterance asserts it:
-    it must be a belief of the current speaker's and occur (unifiably)
-    inside the plan's communicated effect."""
+    it must be a belief of the current speaker's and unify with a compound
+    inside the plan's communicated effect. An unbound variable of the
+    effect stands for no assertion, so it matches nothing."""
     t = s.resolve(term)
     if not (isinstance(t, Compound) and t.functor == "bel" and len(t.args) == 2):
         return False
@@ -388,7 +389,7 @@ def _assumable(term: Term, s: Substitution, ctx: PlannerContext, plan: PlanDeriv
     if plan.root_effect is None:
         return False
     effect = s.resolve(plan.root_effect)
-    return visit(effect, lambda hay, _: unify(t, hay, s) is not None)
+    return visit(effect, lambda hay, _: type(hay) is Compound and unify(t, hay, s) is not None)
 
 
 def evaluate(plan: PlanDerivation, ctx: PlannerContext) -> EvaluationResult:

@@ -384,6 +384,35 @@ def test_a_clarification_with_every_reading_in_error_does_not_hold_up():
     assert lines[-2] == "not understood: that clarification does not hold up"
 
 
+CLARIFY_A_SOUND_PLAN = """\
+objects: fern1 tv1
+common_ground:
+  category(fern1, creature)
+  category(tv1, creature)
+  size(fern1, large)
+  size(tv1, small)
+modifier_preds: size
+turns:
+  user: s-refer(entity1); s-attrib(entity1, lambda(X, category(X, creature)))
+  system: run
+  user: s-actions(current, [s-attrib(entity1, lambda(X, size(X, large)))])
+"""
+
+
+def test_an_unbound_variable_of_the_effect_vouches_for_no_belief():
+    # the user clarifies p17, which no one holds in error. Each reading's
+    # effect, bel(system, goal(user, bel(system, bel(user, replace(p17,
+    # NewPlan))))), still holds NewPlan open, which must not be taken to
+    # assert bel(user, error(p17, ErrorNode))
+    lines = run_text(CLARIFY_A_SOUND_PLAN).lines
+    assert "cstate plan=p17 goal=knowref(system, user, entity1, fern1)" in lines
+    assert [l for l in lines if l.startswith("inferred ")][-2:] == [
+        "inferred p34 replace-plan error-at n35",
+        "inferred p37 expand-plan error-at n38",
+    ]
+    assert lines[-2] == "not understood: that clarification does not hold up"
+
+
 def test_an_entity_name_with_a_non_ascii_digit_is_a_plain_name():
     tr = run_text(SIMPLE.replace("fern1", "entity²"))
     assert tr.ok
@@ -632,7 +661,7 @@ FUZZ_CASES = 300
 # far above any case's run time (tens of ms); a case over it is a near-hang
 FUZZ_CASE_SECONDS = 2.0
 # sha256 over every case's transcript text, or its ScenarioError message
-FUZZ_DIGEST = "298acebb59219ee0960e3e7a87ec15d97770ec27107d7578c2c72a016cc029d8"
+FUZZ_DIGEST = "4c35fbd0a7c4a777eaf4f80b0b5f94c295785eb997882e0412fe79b557c83ba3"
 
 
 def mutate(text: str, rng: random.Random) -> str:
