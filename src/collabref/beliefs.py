@@ -308,9 +308,8 @@ class BeliefBase:
         passes: for each modifier and relational predicate F, every mutually
         believed F(referent, v) has a mutually believed F(other, v).
 
-        Those are the filters `_query_modifier` can build for the
-        referent, so no
-        description can rule the other object out. Reads the common-ground
+        Those are the filters `_query_modifier` can build for the referent,
+        so no description can rule the other object out. Reads the common-ground
         index without renaming or minting anything. Values are compared as
         terms, and a non-ground fact that could be of one of those
         predicates makes the answer "separable": where in doubt, separable.
