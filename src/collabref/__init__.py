@@ -45,7 +45,6 @@ from .terms import (
     canon,
     format_term,
     mk,
-    read_term,
     unify,
 )
 
@@ -60,5 +59,5 @@ __all__ = [
     "Scenario", "Transcript", "build_state", "load_scenario", "run_scenario", "run_text",
     "ActionSchema", "SchemaLibrary", "build_library",
     "Compound", "Const", "Lam", "ListTerm", "NameSource", "Substitution",
-    "Term", "TermReader", "Var", "canon", "format_term", "mk", "read_term", "unify",
+    "Term", "TermReader", "Var", "canon", "format_term", "mk", "unify",
 ]

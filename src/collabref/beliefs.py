@@ -9,18 +9,20 @@ Four buckets of propositions, all held from the system's point of view:
                   bel(system, bel(user, P))
   goals           goals the system has adopted
 
-Stored propositions may contain variables (read existentially). Whether a
-proposition is ground is recorded once, when it is asserted. Each bucket
-files its ground propositions under (functor, arity) and, when the first
-argument is a constant, under (functor, arity, constant) too, as WAM
-first-argument indexing does; it files its non-ground compounds under
-(functor, arity) only. A query resolves its pattern's functor and first
-argument, takes the most specific key that fits, and unifies the ground
-propositions filed there as they are and the non-ground ones of the same
-functor and arity renamed apart, so callers never capture store
-variables; the candidates are merged back into insertion order. A
-retraction likewise tries only the propositions under its pattern's key,
-and drops the removed ones from the lists they are filed in.
+Stored propositions, and the patterns a query or a retraction reads them
+with, are compounds; anything else is a QueryError. A stored one may
+contain variables (read existentially); whether it is ground is recorded
+once, when it is asserted. Each bucket files its ground propositions
+under (functor, arity) and, when the first argument is a constant, under
+(functor, arity, constant) too, as WAM first-argument indexing does; it
+files its non-ground ones under (functor, arity) only. A query resolves
+its pattern's functor and first argument, takes the most specific key
+that fits, and unifies the ground propositions filed there as they are
+and the non-ground ones of the same functor and arity renamed apart, so
+callers never capture store variables; the candidates are merged back
+into insertion order. A retraction likewise tries only the propositions
+under its pattern's key, and drops the removed ones from the lists they
+are filed in.
 
 Renaming mints variables only, and variables have their own stream in a
 NameSource, so how many propositions a query renames moves no plan or
@@ -91,16 +93,11 @@ class _Store:
         self.keys: set[str] = set()
         self.ground: dict[tuple, list[Entry]] = {}
         self.nonground: dict[tuple, list[Entry]] = {}
-        self.loose: list[Entry] = []  # non-ground and not a compound
 
     def add(self, entry: Entry, key: str) -> None:
         _, prop, ground = entry
         self.entries.append(entry)
         self.keys.add(key)
-        if not isinstance(prop, Compound):
-            if not ground:
-                self.loose.append(entry)
-            return
         top = (prop.functor, len(prop.args))
         if not ground:
             self.nonground.setdefault(top, []).append(entry)
@@ -113,10 +110,9 @@ class _Store:
         """Drop these entries. Only the index lists of their functors are
         filtered, and no kept proposition is keyed again."""
         seqs = {seq for seq, _, _ in gone}
-        tops = {(p.functor, len(p.args)) for _, p, _ in gone if isinstance(p, Compound)}
+        tops = {(p.functor, len(p.args)) for _, p, _ in gone}
         self.keys.difference_update(canon(p) for _, p, _ in gone)
         self.entries = [e for e in self.entries if e[0] not in seqs]
-        self.loose = [e for e in self.loose if e[0] not in seqs]
         for index in (self.ground, self.nonground):
             for key in [k for k in index if k[:2] in tops]:
                 kept = [e for e in index[key] if e[0] not in seqs]
@@ -125,24 +121,22 @@ class _Store:
                 else:
                     del index[key]
 
-    def candidates(self, key: tuple | None):
+    def candidates(self, key: tuple):
         """Every entry that could unify with a pattern of this key, in order.
 
         Insertion numbers are unique, so merging never compares propositions.
         """
-        if key is None:
-            return self.entries
-        lists = [x for x in (self.ground.get(key), self.nonground.get(key[:2]), self.loose) if x]
+        lists = [x for x in (self.ground.get(key), self.nonground.get(key[:2])) if x]
         if len(lists) > 1:
             return heapq.merge(*lists)
         return lists[0] if lists else ()
 
 
-def _key(pattern: Term, s: Substitution) -> tuple | None:
-    """The most specific index key a pattern fits; None means any entry."""
+def _key(pattern: Term, s: Substitution) -> tuple:
+    """The most specific index key a pattern, a compound, fits."""
     pattern = s.walk(pattern)
     if not isinstance(pattern, Compound):
-        return None
+        raise QueryError(f"a belief pattern must be a compound, got {pattern!r}")
     top = (pattern.functor, len(pattern.args))
     if pattern.args:
         first = s.walk(pattern.args[0])
@@ -180,7 +174,9 @@ class BeliefBase:
         return [(seq, prop) for seq, prop, _ in filed]
 
     def assert_prop(self, bucket: Bucket, prop: Term) -> bool:
-        """Add a proposition; returns False if an alpha-equal one is present."""
+        """Add a compound proposition; returns False if an alpha-equal one is present."""
+        if not isinstance(prop, Compound):
+            raise QueryError(f"a belief must be a compound, got {prop!r}")
         key, ground = canon_ground(prop)
         store = self._stores[bucket]
         if key in store.keys:
@@ -226,13 +222,6 @@ class BeliefBase:
 
     def _query_bel(self, agent: Term, prop: Term, s: Substitution) -> list[Substitution]:
         agent = s.walk(agent)
-        if isinstance(agent, Var):
-            out: list[Substitution] = []
-            for who in (SYSTEM, USER):
-                s2 = unify(agent, who, s)
-                if s2 is not None:
-                    out.extend(self._query_bel(who, prop, s2))
-            return out
         if agent == SYSTEM:
             inner = s.walk(prop)
             if isinstance(inner, Compound) and inner.functor == "bel" and len(inner.args) == 2:
@@ -243,7 +232,7 @@ class BeliefBase:
                 if who == USER:
                     return self._attributed(USER, inner.args[1], s)
                 if isinstance(who, Var):
-                    out = []
+                    out: list[Substitution] = []
                     for cand in (SYSTEM, USER):
                         s2 = unify(who, cand, s)
                         if s2 is not None:
@@ -299,8 +288,7 @@ class BeliefBase:
         facts, oldest first."""
         values: dict[str, Term] = {}
         for _, fact, _ in self._stores[Bucket.COMMON_GROUND].candidates((functor, 2)):
-            if isinstance(fact, Compound) and fact.functor == functor:
-                values.setdefault(canon(fact.args[1]), fact.args[1])
+            values.setdefault(canon(fact.args[1]), fact.args[1])
         return list(values.values())
 
     def inseparable(self, referent: Const, other: Const) -> bool:
@@ -316,7 +304,7 @@ class BeliefBase:
         """
         store = self._stores[Bucket.COMMON_GROUND]
         functors = self.modifier_preds + self.modifier_rel_preds
-        if store.loose or any(f in functors for f, _ in store.nonground):
+        if any(f in functors for f, _ in store.nonground):
             return False
         for functor in functors:
             theirs = {fact.args[1] for _, fact, _ in store.ground.get((functor, 2, other.name), ())}

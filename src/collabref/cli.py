@@ -38,10 +38,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_check(args)
-    except EngineError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (EngineError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

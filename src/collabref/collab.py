@@ -55,9 +55,6 @@ class EventLog:
     def add(self, line: str) -> None:
         self.lines.append(line)
 
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
 
 @dataclass
 class CState:
@@ -135,14 +132,16 @@ class MentalState:
         self.ctx.persp = Perspective("user", "system")
         self.log.add("observed " + "; ".join(format_term(a) for a in acts))
         is_meta = bool(acts) and isinstance(acts[0], Compound) and acts[0].functor in self.library.meta_roots
-        expected = None
         if is_meta:
-            expected = self.scope
             target = acts[0].args[0] if acts[0].args else None
             if not (isinstance(target, Const) and target.name in self.ctx.registry):
                 self.log.add("inferred nothing")
                 raise NotUnderstoodError("that is about no plan I know")
-        result = infer(self.ctx, acts, expected)
+            # with a plan in scope, a clarification may be about that plan only
+            if self.scope not in (None, target.name):
+                self.log.add("inferred nothing")
+                raise NotUnderstoodError("no reading of that makes sense here")
+        result = infer(self.ctx, acts)
         for plan, verdict in result.candidates:
             schema = plan.nodes[plan.root].schema
             word = "valid" if verdict.valid else f"error-at {verdict.error_node}"

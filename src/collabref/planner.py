@@ -8,8 +8,8 @@ Three entry points share one constraint solver:
   infer(...)      recognizes the plan behind surface acts as heard, by a
                   top-down parse over act spans that takes each head noun
                   from anywhere in its entity's span and keeps one
-                  derivation per acts and shape, then evaluation for
-                  judgment
+                  derivation per acts and shape, then judges it; the
+                  caller decides which plan a clarification may be about
   construct(...)  builds the cheapest plan achieving a goal, by uniform
                   cost search over schema expansions (cost: primitive
                   count, then node count, then discovery order), dropping
@@ -540,30 +540,22 @@ def _parse_signature(tmp: _TmpNode, s: Substitution) -> str:
     return canon(shape(tmp), s)
 
 
-def infer(
-    ctx: PlannerContext,
-    acts: list[Term],
-    expected_plan: str | None = None,
-) -> InferenceResult:
-    """Recognize and judge the plan behind a sequence of surface acts, as
-    heard: a description is derived from `refer`, and a clarification act
-    from each root it starts, dropping parses about some other plan than
-    the one under discussion.
-    """
+def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
+    """Recognize and judge the plan behind surface acts, as heard: a
+    description is derived from `refer`, a clarification act from each root
+    it starts. The caller decides which plan a clarification may be about."""
     if not all(ctx.library.is_surface_act(act) for act in acts):
         return InferenceResult(Verdict.NO_DERIVATION)
     roots = ctx.library.meta_roots
     meta = any(a.functor in roots for a in acts)
     if meta and len(acts) != 1:
         return InferenceResult(Verdict.NO_DERIVATION)
-    about = Const(expected_plan) if meta and expected_plan is not None else None
     parses: list[tuple[_TmpNode, Substitution]] = []
     for root in roots[acts[0].functor] if meta else ["refer"]:
         # the root's template head binds only its own variables, which no
         # state mints, and so copies nothing
         for _, tmp, s in _derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0):
-            if about is None or s.walk(tmp.instance.head.args[0]) == about:
-                parses.append((tmp, s))
+            parses.append((tmp, s))
     if not parses:
         return InferenceResult(Verdict.NO_DERIVATION)
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = []

@@ -21,7 +21,6 @@ from .errors import PlanError
 from .schemas import SchemaLibrary, Step, StepKind
 from .terms import (
     Compound,
-    Const,
     ListTerm,
     NameSource,
     Substitution,
@@ -212,7 +211,7 @@ def substitute_node(
                     f"replacement {format_term(replacement)} does not fit slot of {target}"
                 )
             s = s2
-            new_nodes[old_name] = NodeRecord(old_name, _functor_of(s.resolve(replacement)), replacement)
+            new_nodes[old_name] = NodeRecord(old_name, s.resolve(replacement).functor, replacement)
             return old_name
         if old.primitive:
             assert expected is not None
@@ -242,10 +241,3 @@ def substitute_node(
     new_plan = PlanDerivation(names.plan_name().name, plan.root, new_nodes, s, root_effect)
     return new_plan, s
 
-
-def _functor_of(t: Term) -> str:
-    if isinstance(t, Compound):
-        return t.functor
-    if isinstance(t, Const):
-        return t.name
-    raise PlanError(f"expected an action term, got {t!r}")

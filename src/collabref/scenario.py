@@ -87,6 +87,7 @@ class Scenario:
 
 def load_scenario(text: str, names: NameSource) -> Scenario:
     sc = Scenario()
+    declared: dict[str, int] = {}  # how often each object is declared
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,12 +106,13 @@ def load_scenario(text: str, names: NameSource) -> Scenario:
         if section in _NAME_SECTIONS:
             for name in line.split() if section == "objects" else ():
                 _check_not_minted("object", name, lineno)
+                declared[name] = declared.get(name, 0) + 1
             getattr(sc, section).extend(line.split())
         elif section in _FACT_SECTIONS:
-            getattr(sc, section).append(_read_fact(line, lineno, names, sc))
+            getattr(sc, section).append(_read_fact(line, lineno, names, declared))
         else:
             sc.turns.append(_read_turn(head, rest, colon, lineno, names))
-    _validate(sc)
+    _validate(sc, declared)
     return sc
 
 
@@ -119,7 +121,7 @@ def _check_not_minted(what: str, name: str, lineno: int) -> None:
         raise ScenarioError(f"{what} name {name} has the form of a plan or node id", lineno)
 
 
-def _read_fact(line: str, lineno: int, names: NameSource, sc: Scenario) -> Term:
+def _read_fact(line: str, lineno: int, names: NameSource, declared: dict[str, int]) -> Term:
     try:
         fact = TermReader(names).read(line)
     except TermSyntaxError as err:
@@ -129,7 +131,7 @@ def _read_fact(line: str, lineno: int, names: NameSource, sc: Scenario) -> Term:
     if not is_ground(fact):
         raise ScenarioError(f"facts must be ground: {line!r}", lineno)
     subject = fact.args[0]
-    if not (isinstance(subject, Const) and subject.name in sc.objects):
+    if not (isinstance(subject, Const) and subject.name in declared):
         raise ScenarioError(
             f"fact subject {format_term(subject)} is not a declared object", lineno
         )
@@ -192,14 +194,14 @@ def _check_lambda(t: Term, bound: frozenset[int], lineno: int) -> bool:
     return False
 
 
-def _validate(sc: Scenario) -> None:
+def _validate(sc: Scenario, declared: dict[str, int]) -> None:
     if not sc.objects:
         raise ScenarioError("a scenario must declare objects")
-    dupes = {o for o in sc.objects if sc.objects.count(o) > 1}
+    dupes = {o for o, n in declared.items() if n > 1}
     if dupes:
         raise ScenarioError(f"objects declared twice: {sorted(dupes)}")
     for name in sc.pick_order:
-        if name not in sc.objects:
+        if name not in declared:
             raise ScenarioError(f"pick_order names unknown object {name}")
     if not sc.turns:
         raise ScenarioError("a scenario must script at least one turn")

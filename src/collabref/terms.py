@@ -213,9 +213,6 @@ class Substitution:
             return t if body is t.body else Lam(t.params, body)
         return t
 
-    def __len__(self) -> int:
-        return len(self._map)
-
     def __repr__(self) -> str:
         return f"Substitution({self._map!r})"
 
@@ -578,11 +575,6 @@ def _tokenize(text: str) -> list[str]:
             if len(tok) == 1 and tok not in _PUNCTUATION and not (tok.isalnum() or tok == "_"):
                 raise TermSyntaxError(f"bad character {tok!r} in {text!r}")
     return tokens
-
-
-def read_term(text: str, names: NameSource) -> Term:
-    """One-shot parse with a private variable table."""
-    return TermReader(names).read(text)
 
 
 def format_term(t: Term) -> str:

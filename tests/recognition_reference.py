@@ -25,7 +25,7 @@ from collabref.planner import (
 )
 from collabref.plans import NodeRecord, PlanDerivation, unify_bridged
 from collabref.schemas import StepKind
-from collabref.terms import Compound, Const, Lam, Substitution, Term, canon, unify
+from collabref.terms import Compound, Lam, Substitution, Term, canon, unify
 
 
 def canonical_orders(acts: list[Term]) -> list[list[Term]]:
@@ -123,7 +123,7 @@ def parse_with_root(root_schema: str, acts: list[Term], ctx: PlannerContext):
         yield _TmpNode(root_schema, instance, kids), s
 
 
-def infer(ctx: PlannerContext, acts: list[Term], expected_plan: str | None = None) -> InferenceResult:
+def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
     """`planner.infer` as it read before each head noun was chosen inside
     its entity's span: every canonical ordering is parsed, and a parse of a
     shape already seen is dropped."""
@@ -137,13 +137,10 @@ def infer(ctx: PlannerContext, acts: list[Term], expected_plan: str | None = Non
         [(root, acts) for root in roots[acts[0].functor]] if meta
         else [("refer", order) for order in canonical_orders(acts)]
     )
-    about = Const(expected_plan) if meta and expected_plan is not None else None
     parses: list[tuple[_TmpNode, Substitution]] = []
     seen: set[str] = set()
     for root, order in readings:
         for tmp, s in parse_with_root(root, order, ctx):
-            if about is not None and s.walk(tmp.instance.head.args[0]) != about:
-                continue
             sig = _parse_signature(tmp, s)
             if sig not in seen:
                 seen.add(sig)

@@ -237,4 +237,4 @@ def test_event_log_extracts_rule_numbers():
     log.add("belief + common_ground something")
     log.add("rule 10 adopt-accept-goal detail")
     assert rule_numbers(log.lines) == [4, 10]
-    assert "turn 1 user" in log.text()
+    assert "turn 1 user" in log.lines

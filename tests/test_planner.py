@@ -28,7 +28,7 @@ from collabref import (
     mk,
     run_text,
 )
-from collabref import beliefs, planner
+from collabref import beliefs, collab, planner
 from collabref.beliefs import SYSTEM, USER, BeliefBase
 from collabref.planner import solve
 from collabref.schemas import StepKind
@@ -39,7 +39,6 @@ from collabref.terms import (
     apply_lambda,
     canon,
     format_term,
-    read_term,
 )
 
 import recognition_reference
@@ -105,8 +104,8 @@ def test_subset_keeps_matching_members_in_order():
     ctx = small_ctx()
     names = ctx.names
     out = names.fresh_var("Out")
-    term = read_term(
-        "subset([fern1, tv1], lambda(X, bel(system, category(X, creature))), Out)", names
+    term = TermReader(names).read(
+        "subset([fern1, tv1], lambda(X, bel(system, category(X, creature))), Out)"
     )
     term = mk("subset", term.args[0], term.args[1], out)
     sols = solve(term, Substitution(), ctx)
@@ -116,13 +115,13 @@ def test_subset_keeps_matching_members_in_order():
     term2 = mk(
         "subset",
         ListTerm((Const("tv1"),)),
-        read_term("lambda(X, bel(system, category(X, creature)))", names),
+        TermReader(names).read("lambda(X, bel(system, category(X, creature)))"),
         names.fresh_var("Out2"),
     )
     assert solve(term2, Substitution(), ctx) == []
 
 
-# A store of ground, non-ground, bare-variable and lambda-valued facts over
+# A store of ground, non-ground and lambda-valued facts over
 # three buckets, and subset tests of the forms the schemas use.
 _V = NameSource(1_000_000)  # far from the uids the engine mints
 A, B, C = (Const(n) for n in "abc")
@@ -135,7 +134,7 @@ STORED = st.one_of(
     st.builds(lambda f, x, v: mk(f, x, v), st.sampled_from(["colour", "size"]),
               st.sampled_from([A, B, C, mk("f", A), *STORED_VARS]),
               st.one_of(VALUES, st.sampled_from(STORED_VARS))),
-    st.sampled_from([STORED_VARS[0], mk("colour", STORED_VARS[0], STORED_VARS[0])]),
+    st.just(mk("colour", STORED_VARS[0], STORED_VARS[0])),
 )
 SUBSET_BUCKETS = st.sampled_from([Bucket.COMMON_GROUND, Bucket.PRIVATE, Bucket.USER_MODEL])
 MEMBERS = st.lists(
@@ -201,7 +200,7 @@ def test_subset_agrees_with_one_query_per_member(stored, members, test, bound):
 
 def test_subset_raises_the_same_query_error_and_skips_an_empty_list():
     ctx = small_ctx()
-    test = read_term("lambda(X, nosuch(X))", ctx.names)
+    test = TermReader(ctx.names).read("lambda(X, nosuch(X))")
     with pytest.raises(QueryError) as direct:
         ctx.base.query(apply_lambda(test, (Const("fern1"),)), ctx.persp, Substitution())
     with pytest.raises(QueryError) as solved:
@@ -228,9 +227,9 @@ def test_pick_one_respects_the_preference_order():
 def test_negation_as_failure():
     ctx = small_ctx()
     names = ctx.names
-    yes = read_term("not([a] = [])", names)
+    yes = TermReader(names).read("not([a] = [])")
     assert len(solve(yes, Substitution(), ctx)) == 1
-    no = read_term("not([] = [])", names)
+    no = TermReader(names).read("not([] = [])")
     assert solve(no, Substitution(), ctx) == []
     # an undecided inner constraint keeps the negation undecided too
     open_plan = mk("not", mk("replan", names.fresh_var("P"), names.fresh_var("A")))
@@ -242,7 +241,7 @@ def test_equation_bridges_abstract_shapes():
     names = ctx.names
     lib = ctx.library
     concrete = lib.get("modifier-absolute").instantiate(names).head
-    term = mk("=", read_term("modifier(E, O, C, N)", names), concrete)
+    term = mk("=", TermReader(names).read("modifier(E, O, C, N)"), concrete)
     assert len(solve(term, Substitution(), ctx)) == 1
 
 
@@ -286,7 +285,7 @@ def test_canonical_orders_normalize_the_noun_first():
 
 
 def test_canonical_orders_pass_single_acts_through(names):
-    act = read_term("s-accept(p1)", names)
+    act = TermReader(names).read("s-accept(p1)")
     assert recognition_reference.canonical_orders([act]) == [[act]]
 
 
@@ -325,36 +324,51 @@ def test_opening_description_with_one_candidate_is_understood():
     assert kind == "achieve" and referent == Const("fern1")
 
 
-def test_meta_acts_only_parse_against_the_plan_under_discussion():
+def refused(ms, acts):
+    """The lines a turn the hearer does not understand ends its transcript
+    with, as `run_scenario` writes them."""
+    before = len(ms.log.lines)
+    with pytest.raises(NotUnderstoodError) as err:
+        ms.hearer_step(acts)
+    return ms.log.lines[before:] + [f"not understood: {err.value}"]
+
+
+NO_READING = ["inferred nothing", "not understood: no reading of that makes sense here"]
+
+
+def test_meta_acts_only_parse_against_the_plan_under_discussion(monkeypatch):
     ms = golden_state()
-    result = ms.hearer_step(opening_request(ms))
-    pid = result.plan.id
+    first = ms.hearer_step(opening_request(ms)).plan.id
+    ms.speaker_step()  # the system's replacement is now under discussion
+    assert ms.scope not in (None, first)
     reader = TermReader(ms.names)
-    # an acceptance of some other plan is no reading at all here
-    wrong = infer(ms.ctx, [reader.read("s-accept(p999)")], expected_plan=pid)
-    assert wrong.kind is Verdict.NO_DERIVATION
-    # while accepting the plan under discussion is taken on trust
-    right = infer(ms.ctx, [reader.read(f"s-accept({pid})")], expected_plan=pid)
-    assert right.kind is Verdict.UNDERSTOOD
+    # accepting a known plan other than the one in scope is no reading at
+    # all here, and the mental state turns it away before any parse
+    parsed = []
+    monkeypatch.setattr(collab, "infer", lambda *a: parsed.append(a) or infer(*a))
+    assert refused(ms, [reader.read(f"s-accept({first})")]) == [f"observed s-accept({first})", *NO_READING]
+    assert parsed == []
+    # while accepting the plan under discussion is parsed and heard
+    assert ms.hearer_step([reader.read(f"s-accept({ms.scope})")]).kind is Verdict.UNDERSTOOD
+    assert len(parsed) == 1
 
 
 def test_meta_roots_need_exactly_one_act():
     ms = golden_state()
-    result = ms.hearer_step(opening_request(ms))
-    pid = result.plan.id
+    pid = ms.hearer_step(opening_request(ms)).plan.id
     reader = TermReader(ms.names)
     acts = [reader.read(f"s-accept({pid})"), reader.read(f"s-accept({pid})")]
-    out = infer(ms.ctx, acts, expected_plan=pid)
-    assert out.kind is Verdict.NO_DERIVATION
+    assert refused(ms, acts) == [f"observed s-accept({pid}); s-accept({pid})", *NO_READING]
 
 
-def test_unparseable_acts_yield_no_derivation(names):
+def test_unparseable_acts_yield_no_derivation():
     ms = golden_state()
     reader = TermReader(ms.names)
     lonely = [reader.read("s-attrib(entity9, lambda(X, category(X, creature)))")]
     ms.names.note_entity("entity9")
-    out = infer(ms.ctx, lonely, expected_plan=None)
-    assert out.kind is Verdict.NO_DERIVATION
+    assert refused(ms, lonely) == [
+        "observed s-attrib(entity9, lambda(X, category(X, creature)))", *NO_READING
+    ]
 
 
 def test_reevaluating_a_candidate_is_stable():
@@ -441,7 +455,8 @@ def test_recognition_agrees_with_the_reordering_reference_on_well_formed_turns()
         assert new == reference, lines
         kinds.add(new[0])
         related += any(line.startswith("s-attrib-rel(") for line in lines)
-        reordered += len(recognition_reference.canonical_orders([read_term(line, NameSource()) for line in lines])) > 1
+        acts = [TermReader(NameSource()).read(line) for line in lines]
+        reordered += len(recognition_reference.canonical_orders(acts)) > 1
     assert kinds == {Verdict.UNDERSTOOD, Verdict.ERROR_AT, Verdict.AMBIGUOUS}, kinds
     assert related > 40 and reordered > 30, (related, reordered)
 
@@ -1023,6 +1038,28 @@ def test_recognition_of_relational_modifiers_stays_polynomial(monkeypatch):
         counts[k] = hearing.hear(ms, lines, len(lines) ** 3 // 2)
     # doubling k less than doubles the turn, and cubic growth at most octuples the work
     assert counts[8] < 8 * counts[4], counts
+
+
+@pytest.mark.xfail(strict=True, reason="recognition grows about threefold per level of a chain "
+                   "of relational references; a tabled parse is ROADMAP item 1, step 2")
+def test_recognition_of_a_chain_of_relational_references_stays_polynomial(monkeypatch):
+    hearing = CountedHearing(monkeypatch)
+    counts = {}
+    for depth in (3, 6):
+        # obj1 relates to o1, o1 to o2 and so on, each named by its own
+        # category; depths 3 to 6 cost 284, 901, 2,846 and 8,971 calls
+        objects = ["obj1"] + [f"o{j}" for j in range(1, depth + 1)]
+        facts = [f"category({o}, c{j})" for j, o in enumerate(objects)]
+        facts += [f"r{j}({a}, {b})" for j, (a, b) in enumerate(zip(objects, objects[1:]))]
+        ms = make_state(objects, facts, rel_preds=[f"r{j}" for j in range(depth)])
+        lines = []
+        for j in range(depth + 1):
+            lines += [f"s-refer(entity{j + 1})", f"s-attrib(entity{j + 1}, lambda(X, category(X, c{j})))"]
+            if j < depth:
+                lines.append(f"s-attrib-rel(entity{j + 1}, entity{j + 2}, lambda(X, Y, r{j}(X, Y)))")
+        counts[depth] = hearing.hear(ms, lines, len(lines) ** 3 // 2)
+    # doubling the depth less than doubles the turn, and cubic growth at most octuples the work
+    assert counts[6] < 8 * counts[3], counts
 
 
 def test_two_category_acts_on_each_of_eight_related_entities_parse_in_few_calls(monkeypatch):

@@ -18,7 +18,7 @@ from collabref import (
 )
 from collabref.beliefs import SYSTEM, USER
 from collabref.plans import find_covering_node, substitute_node, unify_bridged
-from collabref.terms import ListTerm, TermReader, canon, format_term, read_term, unify
+from collabref.terms import ListTerm, TermReader, canon, format_term, unify
 
 from conftest import make_state
 
@@ -143,7 +143,7 @@ def test_find_covering_node_full_single_and_none():
     name, s = single
     assert [canon(s.resolve(a)) for a in plan.yield_of(name)] == [canon(acts[1])]
     ns = ms.names
-    foreign = [read_term("s-refer(zz9)", ns)]
+    foreign = [TermReader(ns).read("s-refer(zz9)")]
     assert find_covering_node(plan, foreign, plan.bindings) is None
     # a span of two leaves from different subtrees has no covering node
     assert find_covering_node(plan, [acts[1], acts[3]], plan.bindings) is None

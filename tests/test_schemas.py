@@ -11,7 +11,7 @@ from collabref import NameSource, PlanError, build_library
 from collabref import schemas
 from collabref.schemas import SchemaLibrary, StepKind, _library, _parse_library
 from collabref.terms import (
-    Compound, Lam, ListTerm, TermReader, Var, canon, read_term, variables_of, visit,
+    Compound, Lam, ListTerm, TermReader, Var, canon, variables_of, visit,
 )
 
 
@@ -141,9 +141,9 @@ def test_clarification_schemas_carry_plan_surgery_steps(names):
 
 def test_primitive_act_checking(names):
     lib = build_library(names)
-    assert lib.is_surface_act(read_term("s-attrib(e1, lambda(X, category(X, c)))", names))
-    assert not lib.is_surface_act(read_term("category(fern1, creature)", names))
-    assert not lib.is_surface_act(read_term("s-refer(e1, extra)", names))
+    assert lib.is_surface_act(TermReader(names).read("s-attrib(e1, lambda(X, category(X, c)))"))
+    assert not lib.is_surface_act(TermReader(names).read("category(fern1, creature)"))
+    assert not lib.is_surface_act(TermReader(names).read("s-refer(e1, extra)"))
 
 
 def test_library_derives_the_vocabulary_it_once_listed_by_hand(names):
@@ -181,7 +181,7 @@ def test_library_parse_is_pinned(names):
 def test_duplicate_schema_names_rejected(names):
     from collabref.schemas import ActionSchema, SchemaLibrary
 
-    head = read_term("thing(X)", names)
+    head = TermReader(names).read("thing(X)")
     a = ActionSchema("thing", head, (), None)
     with pytest.raises(PlanError):
         SchemaLibrary([a, a])

@@ -31,7 +31,6 @@ from collabref import (
     canon,
     format_term,
     mk,
-    read_term,
     unify,
 )
 from collabref import terms
@@ -396,10 +395,10 @@ def test_lambda_unification_binds_no_variable_to_a_parameter(names):
 
 
 def test_nested_lambdas_get_their_own_placeholders(names):
-    outer_first = read_term("lambda(X, f(lambda(Y, g(X, Y))))", names)
-    inner_first = read_term("lambda(X, f(lambda(Y, g(Y, X))))", names)
+    outer_first = TermReader(names).read("lambda(X, f(lambda(Y, g(X, Y))))")
+    inner_first = TermReader(names).read("lambda(X, f(lambda(Y, g(Y, X))))")
     assert unify(outer_first, inner_first) is None
-    assert unify(outer_first, read_term("lambda(Z, f(lambda(W, g(Z, W))))", names)) is not None
+    assert unify(outer_first, TermReader(names).read("lambda(Z, f(lambda(W, g(Z, W))))")) is not None
 
 
 def test_apply_lambda_substitutes_positionally(names):
@@ -424,7 +423,9 @@ def test_substitution_bind_leaves_original_untouched(names):
     bound = empty.bind(x, Const("a"))
     assert empty.resolve(x) == x
     assert bound.resolve(x) == Const("a")
-    assert len(empty) == 0 and len(bound) == 1
+    y = names.fresh_var("Y")
+    both = bound.bind(y, Const("b"))
+    assert bound.resolve(y) == y and both.resolve(x) == Const("a")
 
 
 def test_resolve_walks_chains(names):
@@ -454,13 +455,13 @@ def test_reader_round_trips_structure(names):
         "Cand = [Object]",
     ]
     for text in samples:
-        first = read_term(text, names)
-        again = read_term(format_term(first), names)
+        first = TermReader(names).read(text)
+        again = TermReader(names).read(format_term(first))
         assert canon(first) == canon(again), text
 
 
 def test_reader_shares_variables_within_one_read(names):
-    t = read_term("f(A, g(A), B)", names)
+    t = TermReader(names).read("f(A, g(A), B)")
     assert isinstance(t, Compound)
     inner = t.args[1]
     assert isinstance(inner, Compound)
@@ -469,7 +470,7 @@ def test_reader_shares_variables_within_one_read(names):
 
 
 def test_reader_gives_each_underscore_its_own_variable(names):
-    t = read_term("f(_, _)", names)
+    t = TermReader(names).read("f(_, _)")
     assert isinstance(t, Compound)
     assert isinstance(t.args[0], Var) and isinstance(t.args[1], Var)
     assert t.args[0].uid != t.args[1].uid
@@ -485,7 +486,7 @@ def test_separate_readers_do_not_share_variables(names):
 def test_reader_rejects_malformed_input(names):
     for bad in ["", "f(", "f(a,)", ")", "f(a b)", "[a,", "lambda(a, p(a))", "f($p0)", "$p0", "a$"]:
         with pytest.raises(TermSyntaxError):
-            read_term(bad, names)
+            TermReader(names).read(bad)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -498,12 +499,12 @@ def test_reader_rejects_malformed_input(names):
 ])
 def test_reader_names_the_sequence_it_could_not_close(names, bad, message):
     with pytest.raises(TermSyntaxError) as err:
-        read_term(bad, names)
+        TermReader(names).read(bad)
     assert str(err.value) == message
 
 
 def test_canon_ignores_variable_names(names):
-    t = read_term("f(A, g(A), B)", names)
+    t = TermReader(names).read("f(A, g(A), B)")
     renamed = rename_apart(t, names)
     assert canon(t) == canon(renamed)
     own = {v.uid for v in variables_of(t)}
@@ -512,15 +513,15 @@ def test_canon_ignores_variable_names(names):
 
 
 def test_canon_distinguishes_sharing_patterns(names):
-    shared = read_term("f(A, A)", names)
-    split = read_term("f(A, B)", names)
+    shared = TermReader(names).read("f(A, A)")
+    split = TermReader(names).read("f(A, B)")
     assert canon(shared) != canon(split)
-    assert canon(read_term("f(a)", names)) != canon(read_term("f(b)", names))
+    assert canon(TermReader(names).read("f(a)")) != canon(TermReader(names).read("f(b)"))
 
 
 def test_is_ground_and_variables_of(names):
-    assert is_ground(read_term("f(a, [b])", names))
-    t = read_term("f(A, g(B, A))", names)
+    assert is_ground(TermReader(names).read("f(a, [b])"))
+    t = TermReader(names).read("f(A, g(B, A))")
     assert not is_ground(t)
     assert len(variables_of(t)) == 2
 
@@ -635,7 +636,7 @@ def test_rename_apart_keeps_canon_and_frees_only_fresh_variables(t):
 @TERM_SETTINGS
 @given(TERMS)
 def test_format_then_read_round_trips_up_to_canon(t):
-    assert canon(read_term(format_term(t), NameSource())) == canon(t)
+    assert canon(TermReader(NameSource()).read(format_term(t))) == canon(t)
 
 
 @TERM_SETTINGS
@@ -895,6 +896,6 @@ def test_reader_agrees_with_the_reference_reader(texts):
 
 @pytest.mark.parametrize("kind", NESTED_KINDS)
 def test_reader_takes_the_depth_limit_and_refuses_one_level_more(names, kind):
-    read_term(nested_text(kind, MAX_TERM_DEPTH), names)
+    TermReader(names).read(nested_text(kind, MAX_TERM_DEPTH))
     with pytest.raises(TermSyntaxError, match=f"nested deeper than {MAX_TERM_DEPTH} levels"):
-        read_term(nested_text(kind, MAX_TERM_DEPTH + 1), names)
+        TermReader(names).read(nested_text(kind, MAX_TERM_DEPTH + 1))
