@@ -1,13 +1,12 @@
 """The system's mental state: worlds, beliefs, and belief queries.
 
-Four buckets of propositions, all held from the system's point of view:
+Three buckets of propositions, all held from the system's point of view:
 
   common_ground   facts the system takes as mutually believed with the user;
                   a bare proposition P here stands for "mutually believed P"
   private         the system's own beliefs: P here means bel(system, P)
   user_model      what the system believes the user believes: P here means
                   bel(system, bel(user, P))
-  goals           goals the system has adopted
 
 Stored propositions, and the patterns a query or a retraction reads them
 with, are compounds; anything else is a QueryError. A stored one may
@@ -70,7 +69,6 @@ class Bucket(enum.Enum):
     COMMON_GROUND = "common_ground"
     PRIVATE = "private"
     USER_MODEL = "user_model"
-    GOALS = "goals"
 
 
 @dataclass

@@ -17,7 +17,8 @@ Rules 1-7 (`CHAIN_RULES`) chain after every contribution, in passes
 until none fires, each over a snapshot of the common-ground facts filed
 under its trigger's index key, oldest first. Rules 8-10 (`ADOPT_RULES`)
 pick what the system says next, and the first match wins: 8 and 10 read
-the answers to bel(system, Trigger), 9 the common ground. Every firing,
+the answers to bel(system, Trigger), 9 the common ground; no bucket holds
+the goal they draw, which the rule's line shows. Every firing,
 belief change, utterance and verdict lands in the event log in a fixed,
 replayable order.
 """
@@ -257,7 +258,7 @@ class MentalState:
         # rule 4 draws no belief: its line shows the discussion it opens
         shown = CState(b["P"].name, b["G"]) if drawn is None else format_term(drawn)
         self.log.add(f"rule {rule.number} {rule.name} {shown}")
-        if drawn is not None:
+        if drawn is not None and rule.bucket is not None:
             self._assert(rule.bucket, drawn)
         if rule.retract is not None:
             stale = self._instance(rule.retract, b)
@@ -336,7 +337,7 @@ class Rule:
     name: str
     trigger: Term
     conclusion: Term | None
-    bucket: Bucket
+    bucket: Bucket | None  # None: the conclusion is a goal to pursue, held nowhere
     scope: str | None  # the attribute of MentalState naming the plan P must be
     guard: Callable[[MentalState, dict[str, Term]], bool] | None
     action: Callable[[MentalState, dict[str, Term]], None] | None
@@ -352,7 +353,7 @@ _RULE_VARS = NameSource(_RULE_START)
 
 def _rule(
     number: int, name: str, trigger: str, conclusion: str | None = None,
-    bucket: Bucket = Bucket.COMMON_GROUND, *, scope: str | None = None, guard=None,
+    bucket: Bucket | None = Bucket.COMMON_GROUND, *, scope: str | None = None, guard=None,
     action=None, retract: str | None = None, believed: bool = False,
 ) -> Rule:
     """A row, its patterns read with one variable table: one name, one variable."""
@@ -414,13 +415,13 @@ CHAIN_RULES = (
 ADOPT_RULES = (
     # tell them where their plan fails
     _rule(8, "adopt-inform-error-goal", "error(P, N)", "bel(user, bel(system, error(P, N)))",
-          Bucket.GOALS, scope="negotiated", believed=True),
+          None, scope="negotiated", believed=True),
     # propose a repair for the shared error
     _rule(9, "adopt-replace-goal", "error(P, N)",
-          "bel(user, bel(system, replace(P, NewPlan)))", Bucket.GOALS,
+          "bel(user, bel(system, replace(P, NewPlan)))", None,
           scope="negotiated", guard=MentalState._refashionable),
     # close the negotiation
     _rule(10, "adopt-accept-goal", "achieve(P, G)", "bel(user, bel(system, achieve(P, G)))",
-          Bucket.GOALS, scope="scope", believed=True,
+          None, scope="scope", believed=True,
           guard=lambda ms, b: ms._believes(mk("bel", USER, mk("achieve", b["P"], b["G"])))),
 )

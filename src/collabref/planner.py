@@ -14,11 +14,17 @@ Three entry points share one constraint solver:
                   cost search over schema expansions (cost: primitive
                   count, then node count, then discovery order), dropping
                   a branch once its candidates hold an object that no
-                  modifier can separate from the referent. It names every
-                  root first, then starts from each root already expanded
-                  by the step that expands every open node; a node's work
-                  item carries its refer depth for the nesting cap, and a
-                  primitive takes no work item at all.
+                  modifier can separate from the referent. A state keeps
+                  the schema instances it chose, in pre-order; an open
+                  node's work item carries its content and its refer
+                  depth for the nesting cap, and a primitive takes no
+                  work item at all.
+
+Parsing and search hold a plan tree as one thing, the tuple of its schema
+instances in pre-order: an instance's action steps take the subtrees after
+it, in step order. Only `_materialize_node` names a tree's nodes, in walk
+order, and only for a plan committed to: a reading `infer` judges, the
+plan `construct` returns, or a registered plan that replanning completes.
 
 The schema library is the one table of the vocabulary all three read:
 which acts are surface acts, which roots a clarification act starts, and
@@ -46,7 +52,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .beliefs import SYSTEM, BeliefBase, Perspective, _unit
@@ -360,8 +366,8 @@ def _replan_recognize(
     content = target.bindings.resolve(target.nodes[hole].content)
     if not isinstance(content, Compound):
         raise PlanError(f"open node {hole} has no action content")
-    for _, tmp, s1 in _derive(content, acts, s.merge(target.bindings), ctx, 0, 0):
-        _materialize_node(tmp, target.nodes, ctx, hole)
+    for _, tree, s1 in _derive(content, acts, s.merge(target.bindings), ctx, 0, 0):
+        _materialize_node(iter(tree), target.nodes, ctx, hole)
         target.bindings = s1
         verdict = evaluate(target, ctx)
         ctx.judge(target, verdict.bindings, verdict.error_node)
@@ -421,15 +427,8 @@ def evaluate(plan: PlanDerivation, ctx: PlannerContext) -> EvaluationResult:
 # Recognition: from surface acts to candidate derivations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TmpNode:
-    schema: str
-    instance: ActionSchema
-    children: list
-
-
 def _match_steps(instance, i, span, s, ctx):
-    """Yield (children, substitution) pairs deriving exactly this act span
+    """Yield (subtrees, substitution) pairs deriving exactly this act span
     from the instance's steps i onwards; constraint and mental steps derive
     no act, so they are stepped over in one loop.
 
@@ -445,7 +444,7 @@ def _match_steps(instance, i, span, s, ctx):
         return
     if i == len(steps):
         if not span:
-            yield [], s
+            yield (), s
         return
     head = steps[i]
     if head.kind is StepKind.PRIMITIVE:
@@ -457,13 +456,13 @@ def _match_steps(instance, i, span, s, ctx):
     expected = s.resolve(head.term)
     if not isinstance(expected, Compound):
         return
-    for rest, node, s3 in _derive(expected, span, s, ctx, least[i + 1], most[i + 1]):
+    for rest, tree, s3 in _derive(expected, span, s, ctx, least[i + 1], most[i + 1]):
         for others, s4 in _match_steps(instance, i + 1, rest, s3, ctx):
-            yield [node] + others, s4
+            yield tree + others, s4
 
 
 def _derive(expected, span, s, ctx, rest_least, rest_most):
-    """Yield (rest, node, substitution) for each derivation of the action
+    """Yield (rest, tree, substitution) for each derivation of the action
     `expected` from acts of the span, leaving the `rest` of it, between
     rest_least and rest_most acts, to the steps after it: by schema
     choice, then the acts taken, then parse. Recognition and replanning
@@ -493,12 +492,12 @@ def _derive(expected, span, s, ctx, rest_least, rest_most):
         for take in range(lo, hi + 1):
             for a in range(len(span) - take + 1) if anywhere else (0,):
                 for kids, s3 in _match_steps(child, 0, span[a:a + take], s2, ctx):
-                    node = _TmpNode(choice, child, kids)
-                    if _first_of_shape(kept.setdefault((a, take), []), node, s3):
-                        yield span[:a] + span[a + take:], node, s3
+                    tree = (child,) + kids
+                    if _first_of_shape(kept.setdefault((a, take), []), tree, s3):
+                        yield span[:a] + span[a + take:], tree, s3
 
 
-def _first_of_shape(kept: list, node: _TmpNode, s: Substitution) -> bool:
+def _first_of_shape(kept: list, tree: tuple[ActionSchema, ...], s: Substitution) -> bool:
     """Keep the derivation unless one kept before it from the same acts has
     its shape. A signature is taken only once the same acts have a second
     derivation, which most never do."""
@@ -506,38 +505,37 @@ def _first_of_shape(kept: list, node: _TmpNode, s: Substitution) -> bool:
     for entry in kept:
         if entry[2] is None:
             entry[2] = _parse_signature(entry[0], entry[1])
-        sig = sig or _parse_signature(node, s)
+        sig = sig or _parse_signature(tree, s)
         if entry[2] == sig:
             return False
-    kept.append([node, s, sig])
+    kept.append([tree, s, sig])
     return True
 
 
 def _materialize_node(
-    tmp: _TmpNode, nodes: dict[str, NodeRecord], ctx: PlannerContext, name: str | None = None
+    tree: Iterator[ActionSchema], nodes: dict[str, NodeRecord], ctx: PlannerContext, name: str | None = None
 ) -> str:
-    """Record a parse node and its subtree in nodes, under the given name
-    or a fresh one, minting the subtree's names in step order."""
+    """Record the next instance of a pre-order plan tree, and its subtree,
+    in nodes, under the given name or a fresh one, minting the subtree's
+    names in walk order."""
+    instance = next(tree)
     name = name or ctx.names.node_name().name
-    kids = iter(tmp.children)
 
     def child(step: Step) -> str:
         if step.kind is StepKind.ACTION:
-            return _materialize_node(next(kids), nodes, ctx)
+            return _materialize_node(tree, nodes, ctx)
         leaf = ctx.names.node_name().name
         nodes[leaf] = NodeRecord(leaf, "primitive", step.term)
         return leaf
 
-    nodes[name] = NodeRecord(name, tmp.schema, tmp.instance.head, items_of(tmp.instance.steps, child))
+    nodes[name] = NodeRecord(name, instance.name, instance.head, items_of(instance.steps, child))
     return name
 
 
-def _parse_signature(tmp: _TmpNode, s: Substitution) -> str:
-    def shape(node: _TmpNode) -> Term:
-        kids = tuple(shape(k) for k in node.children)
-        return Compound("$" + node.schema, (node.instance.head,) + kids)
-
-    return canon(shape(tmp), s)
+def _parse_signature(tree: tuple[ActionSchema, ...], s: Substitution) -> str:
+    """The tree's shape and bindings up to renaming: a head's functor names
+    its schema, which fixes how many subtrees follow it."""
+    return canon(ListTerm(tuple(instance.head for instance in tree)), s)
 
 
 def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
@@ -550,19 +548,19 @@ def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
     meta = any(a.functor in roots for a in acts)
     if meta and len(acts) != 1:
         return InferenceResult(Verdict.NO_DERIVATION)
-    parses: list[tuple[_TmpNode, Substitution]] = []
+    parses: list[tuple[tuple[ActionSchema, ...], Substitution]] = []
     for root in roots[acts[0].functor] if meta else ["refer"]:
         # the root's template head binds only its own variables, which no
         # state mints, and so copies nothing
-        for _, tmp, s in _derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0):
-            parses.append((tmp, s))
+        for _, tree, s in _derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0):
+            parses.append((tree, s))
     if not parses:
         return InferenceResult(Verdict.NO_DERIVATION)
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = []
-    for tmp, s in parses:
+    for tree, s in parses:
         nodes: dict[str, NodeRecord] = {}
         pid = ctx.names.plan_name().name  # minted before the plan's nodes
-        plan = PlanDerivation(pid, _materialize_node(tmp, nodes, ctx), nodes, s, tmp.instance.effect)
+        plan = PlanDerivation(pid, _materialize_node(iter(tree), nodes, ctx), nodes, s, tree[0].effect)
         ctx.register(plan)
         result = evaluate(plan, ctx)
         plan.bindings = result.bindings
@@ -584,14 +582,16 @@ def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
 
 @dataclass
 class _BuildState:
-    nodes: dict[str, NodeRecord]
+    """A plan under construction: its work queue, its bindings, the keys of
+    the modifiers it uses, the schema instances it chose, in pre-order, and
+    its cost so far, in primitives and then nodes."""
+
     queue: tuple
     s: Substitution
     used: frozenset
+    chosen: tuple[ActionSchema, ...] = ()
     prims: int = 0
-
-    def fork(self) -> "_BuildState":
-        return _BuildState(dict(self.nodes), self.queue, self.s, self.used, self.prims)
+    size: int = 0
 
 
 class _Search:
@@ -602,7 +602,7 @@ class _Search:
         self.inseparable: dict[tuple[Const, Const], bool] = {}
 
     def push(self, state: _BuildState) -> None:
-        heapq.heappush(self.heap, (state.prims, len(state.nodes), next(self.seq), state))
+        heapq.heappush(self.heap, (state.prims, state.size, next(self.seq), state))
 
     def run(self) -> _BuildState:
         pops = 0
@@ -610,58 +610,45 @@ class _Search:
             pops += 1
             if pops > SEARCH_CAP:
                 raise NoPlanError("construction search exceeded its budget")
-            _, _, _, state = heapq.heappop(self.heap)
+            state = heapq.heappop(self.heap)[3]
             if not state.queue:
                 return state
-            work, rest = state.queue[0], state.queue[1:]
-            state.queue = rest
-            if work[0] == "expand":
-                self._expand(state, work[1], work[2])
+            (kind, what, arg), state.queue = state.queue[0], state.queue[1:]
+            if kind == "expand":
+                self._expand(state, what, arg)
             else:
-                self._prove(state, work[1], work[2])
+                self._prove(state, what, arg)
         raise NoPlanError("no plan achieves the goal")
 
-    def _expand(self, state: _BuildState, name: str, depth: int) -> None:
-        """Branch on each schema that can expand the open node; depth counts
-        the refer nodes on its path from the root, itself included."""
-        content = state.s.walk(state.nodes[name].content)
+    def _expand(self, state: _BuildState, content: Term, depth: int) -> None:
+        """Branch on each schema that can expand the open node with this
+        content; depth counts the refer nodes on its path from the root,
+        itself included."""
+        content = state.s.walk(content)
         if type(content) is not Compound or content.functor == "refer" and depth > MAX_REFER_DEPTH:
             return
         for choice in self.ctx.library.concrete(content.functor):
             instance = self.ctx.library.get(choice).instantiate(self.ctx.names)
             s2 = unify_bridged(content, instance.head, state.s, self.ctx.library)
             if s2 is not None:
-                self.grow(state, name, instance, s2, depth)
+                self.grow(state, instance, s2, depth)
 
-    def grow(
-        self, state: _BuildState, name: str, instance: ActionSchema, s: Substitution, depth: int
-    ) -> None:
-        """Push a copy of the state with the node expanded by the instance,
-        whose head s already unifies with the node. Each child gets a name of
-        its own, and the instance's steps but its primitives, which are
-        already as built as they get, go to the front of the queue."""
-        st = state.fork()
-        st.s = s
-        items = items_of(instance.steps, lambda step: self._open(st, step))
-        st.nodes[name] = NodeRecord(name, instance.name, instance.head, items)
-        st.queue = tuple(
-            ("prove", name, i.term) if i.child is None
-            else ("expand", i.child, depth + (st.nodes[i.child].content.functor == "refer"))
-            for i in items if i.kind is not StepKind.PRIMITIVE
-        ) + st.queue
-        self.push(st)
+    def grow(self, state: _BuildState, instance: ActionSchema, s: Substitution, depth: int) -> None:
+        """Push the state with its next open node expanded by the instance,
+        whose head s already unifies with the node. The instance's steps but
+        its primitives, which are already as built as they get, go to the
+        front of the queue, and each primitive or action step opens a node."""
+        work = tuple(
+            ("expand", st.term, depth + (st.term.functor == "refer")) if st.kind is StepKind.ACTION
+            else ("prove", instance, st.term)
+            for st in instance.steps if st.kind is not StepKind.PRIMITIVE
+        )
+        prims = len(instance.steps) - len(work)
+        opened = prims + sum(w[0] == "expand" for w in work)
+        self.push(_BuildState(work + state.queue, s, state.used, state.chosen + (instance,),
+                              state.prims + prims, state.size + opened))
 
-    def _open(self, st: _BuildState, step: Step) -> str:
-        """A new node for a primitive or action step."""
-        child = self.ctx.names.node_name().name
-        if step.kind is StepKind.PRIMITIVE:
-            st.nodes[child] = NodeRecord(child, "primitive", step.term)
-            st.prims += 1
-        else:
-            st.nodes[child] = NodeRecord(child, "?", step.term)
-        return child
-
-    def _prove(self, state: _BuildState, owner: str, term: Term) -> None:
+    def _prove(self, state: _BuildState, owner: ActionSchema, term: Term) -> None:
         t = state.s.walk(term)
         if type(t) is not Compound:
             return
@@ -669,25 +656,22 @@ class _Search:
             sols = solve(t, state.s, self.ctx) or []  # one that must wait ends the branch
         except NoPlanError:  # replanning found no way to complete the plan
             return
-        rec = state.nodes[owner]
-        modifier = rec.schema in self.ctx.library.concrete("modifier")
-        if t.functor == "subset" and (rec.schema == "headnoun" or modifier):
-            sols = [s2 for s2 in sols if not self._dead_end(rec, t, s2)]
+        modifier = owner.name in self.ctx.library.concrete("modifier")
+        if t.functor == "subset" and (owner.name == "headnoun" or modifier):
+            sols = [s2 for s2 in sols if not self._dead_end(owner, t, s2)]
         branches = [(s2, state.used) for s2 in sols]
         if t.functor == "subset" and modifier:
             # a modifier must narrow the candidates and add a new restriction
-            keyed = [(s2, modifier_key(rec, s2)) for s2 in sols if self._shrinks(t, s2)]
+            keyed = [(s2, modifier_key(owner.head, owner.steps, s2)) for s2 in sols if self._shrinks(t, s2)]
             branches = [(s2, state.used | {k}) for s2, k in keyed if k not in state.used]
         for s2, used in branches:
-            st = state.fork()
-            st.s, st.used = s2, used
-            self.push(st)
+            self.push(_BuildState(state.queue, s2, used, state.chosen, state.prims, state.size))
 
-    def _dead_end(self, rec: NodeRecord, t: Compound, s: Substitution) -> bool:
+    def _dead_end(self, owner: ActionSchema, t: Compound, s: Substitution) -> bool:
         """Whether the candidates left by this subset still hold an object
-        that no modifier can separate from the node's referent, so that no
+        that no modifier can separate from the owner's referent, so that no
         completion of the branch ever narrows them to the referent alone."""
-        referent = s.walk(rec.content.args[1])
+        referent = s.walk(owner.head.args[1])
         cands = s.resolve(t.args[2])
         if not (isinstance(referent, Const) and isinstance(cands, ListTerm)):
             return False
@@ -711,13 +695,14 @@ class _Search:
         )
 
 
-def modifier_key(rec: NodeRecord, s: Substitution) -> tuple[str, str, str]:
-    """Identity of a modifier node: its entity, its predicate, and the
-    value or other object it relates the entity's referent to."""
-    content = s.resolve(rec.content)
+def modifier_key(content: Term, items: tuple, s: Substitution) -> tuple[str, str, str]:
+    """Identity of a modifier: its entity, its predicate, and the value or
+    other object it relates the entity's referent to. Its constraints are
+    read from items, a node's items or an instance's steps alike."""
+    content = s.resolve(content)
     assert isinstance(content, Compound)
     pred = other = ""
-    for item in rec.items:
+    for item in items:
         if item.kind is not StepKind.CONSTRAINT:
             continue
         c = s.resolve(item.term)
@@ -730,54 +715,28 @@ def modifier_key(rec: NodeRecord, s: Substitution) -> tuple[str, str, str]:
     return (canon(content.args[0]), pred, other)
 
 
-def modifier_keys_of(plan: PlanDerivation, library: SchemaLibrary) -> frozenset:
-    """Identity keys of the modifiers a plan already uses, for reuse guards."""
-    return frozenset(
-        modifier_key(plan.nodes[name], plan.bindings)
-        for name in plan.action_nodes()
-        if plan.nodes[name].schema in library.concrete("modifier")
-    )
-
-
-def _refer_depths(plan: PlanDerivation) -> dict[str, int]:
-    """How many refer nodes lie on the path from the root to each node,
-    the node itself included."""
-
-    def bump(name: str) -> int:
-        content = plan.bindings.resolve(plan.nodes[name].content)
-        return int(isinstance(content, Compound) and content.functor == "refer")
-
-    depths = {plan.root: bump(plan.root)}
-    for owner, i in plan.walk():
-        if i.kind is StepKind.ACTION:
-            depths[i.child] = depths[owner] + bump(i.child)
-    return depths
-
-
 def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
     """Build the cheapest plan whose communicated effect matches the goal.
 
-    Each effect schema whose effect matches the goal is copied once, and
-    every root is named before any is expanded, so that the ids minted
-    under one root do not depend on the others."""
-    roots = [
-        (ctx.names.node_name().name, schema.instantiate(ctx.names))
-        for schema in ctx.library.effect_schemas()
+    Each effect schema whose effect matches the goal is copied once, as a
+    root to search from. The search names nothing: the plan it finds gets
+    its node ids, in walk order, and then its plan id."""
+    search = _Search(ctx)
+    for schema in ctx.library.effect_schemas():
         # the shared template's variables have uids below zero, so trying
         # its effect first captures nothing and copies no schema in vain
-        if unify(schema.effect, goal) is not None
-    ]
-    if not roots:
-        raise NoPlanError(f"no schema can achieve {format_term(goal)}")
-    search = _Search(ctx)
-    for root, instance in roots:
+        if unify(schema.effect, goal) is None:
+            continue
+        instance = schema.instantiate(ctx.names)
         s0 = unify(instance.effect, goal)
         assert s0 is not None
-        start = _BuildState({}, (), s0, frozenset())
-        search.grow(start, root, instance, s0, int(instance.name == "refer"))
+        search.grow(_BuildState((), s0, frozenset(), size=1), instance, s0, int(instance.name == "refer"))
+    if not search.heap:
+        raise NoPlanError(f"no schema can achieve {format_term(goal)}")
     final = search.run()
-    root, instance = next((r, i) for r, i in roots if r in final.nodes)
-    plan = PlanDerivation(ctx.names.plan_name().name, root, final.nodes, final.s, instance.effect)
+    nodes: dict[str, NodeRecord] = {}
+    root = _materialize_node(iter(final.chosen), nodes, ctx)
+    plan = PlanDerivation(ctx.names.plan_name().name, root, nodes, final.s, final.chosen[0].effect)
     ctx.register(plan)
     _judge_built(plan, ctx)
     return plan
@@ -786,14 +745,29 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
 def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDerivation, list[Term]]:
     """Expand a partial plan's open nodes, adding as few acts as possible;
     the acts added are the surface acts of the finished tree that the
-    partial plan lacked, in utterance order."""
+    partial plan lacked, in utterance order. One walk finds the open nodes,
+    each with the refer nodes on its path from the root, and the modifiers
+    the plan uses, which it may not reuse. The open nodes keep their names,
+    and the nodes under them are named once the search ends."""
+    s, modifiers = partial.bindings, ctx.library.concrete("modifier")
+    depths: dict[str | None, int] = {None: 0}
+    holes, used = [], set()
+    edges = [(None, partial.root)] + [(o, i.child) for o, i in partial.walk() if i.kind is StepKind.ACTION]
+    for owner, name in edges:
+        rec = partial.nodes[name]
+        depths[name] = depths[owner] + (rec.content.functor == "refer")
+        if not rec.items:
+            holes.append(name)
+        elif rec.schema in modifiers:
+            used.add(modifier_key(rec.content, rec.items, s))
     search = _Search(ctx)
-    depths = _refer_depths(partial)
-    holes = tuple(("expand", n, depths[n]) for n in partial.unexpanded())
-    kept = set(partial.nodes)
-    search.push(_BuildState(dict(partial.nodes), holes, partial.bindings, modifier_keys_of(partial, ctx.library)))
+    queue = tuple(("expand", partial.nodes[n].content, depths[n]) for n in holes)
+    search.push(_BuildState(queue, s, frozenset(used), size=len(partial.nodes)))
     final = search.run()
-    partial.nodes = final.nodes
+    kept = set(partial.nodes)
+    chosen = iter(final.chosen)
+    for hole in holes:
+        _materialize_node(chosen, partial.nodes, ctx, hole)
     partial.bindings = final.s
     _judge_built(partial, ctx)
     return partial, [partial.content_of(n) for n in partial.yield_node_names() if n not in kept]

@@ -102,8 +102,10 @@ class NameSource:
     anonymous `_` variable (as `_<uid>`), and those the reader mints while
     a scenario loads. So however many variables renaming, instantiation
     or search mint, the public ids of a run stay the same, and the same
-    scenario always gets the same transcript. Entities (`entity3`) have a
-    counter of their own.
+    scenario always gets the same transcript. The planner mints node and
+    plan ids at commit, for a plan it keeps, not for the states it searches
+    (a plan a `substitute` registers there still takes its id at once).
+    Entities (`entity3`) have a counter of their own.
     """
 
     def __init__(self, start: int = 1):

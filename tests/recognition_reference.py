@@ -20,11 +20,10 @@ from collabref.planner import (
     Verdict,
     _materialize_node,
     _parse_signature,
-    _TmpNode,
     evaluate,
 )
 from collabref.plans import NodeRecord, PlanDerivation, unify_bridged
-from collabref.schemas import StepKind
+from collabref.schemas import ActionSchema, StepKind
 from collabref.terms import Compound, Lam, Substitution, Term, canon, unify
 
 
@@ -73,14 +72,15 @@ def canonical_orders(acts: list[Term]) -> list[list[Term]]:
 
 
 def _match_steps(instance, i, span, s, ctx):
-    """(children, substitution) pairs deriving exactly this span from the
-    instance's steps i onwards, every action taking a prefix."""
+    """(subtrees, substitution) pairs deriving exactly this span from the
+    instance's steps i onwards, as one pre-order tuple of schema instances,
+    every action taking a prefix."""
     steps, least, most = instance.steps, ctx.library.least_from, ctx.library.most_from
     if not least[instance.name][i] <= len(span) <= most[instance.name][i]:
         return
     if i == len(steps):
         if not span:
-            yield [], s
+            yield (), s
         return
     head = steps[i]
     if head.kind in (StepKind.CONSTRAINT, StepKind.MENTAL):
@@ -96,9 +96,9 @@ def _match_steps(instance, i, span, s, ctx):
     if not isinstance(expected, Compound):
         return
     rest_least, rest_most = least[instance.name][i + 1], most[instance.name][i + 1]
-    for take, node, s3 in _derive(expected, span, s, ctx, rest_least, rest_most):
+    for take, tree, s3 in _derive(expected, span, s, ctx, rest_least, rest_most):
         for others, s4 in _match_steps(instance, i + 1, span[take:], s3, ctx):
-            yield [node] + others, s4
+            yield tree + others, s4
 
 
 def _derive(expected, span, s, ctx, rest_least, rest_most):
@@ -114,13 +114,13 @@ def _derive(expected, span, s, ctx, rest_least, rest_most):
             continue
         for take in range(lo, hi + 1):
             for kids, s3 in _match_steps(child, 0, span[:take], s2, ctx):
-                yield take, _TmpNode(choice, child, kids), s3
+                yield take, (child,) + kids, s3
 
 
 def parse_with_root(root_schema: str, acts: list[Term], ctx: PlannerContext):
     instance = ctx.library.get(root_schema).instantiate(ctx.names)
     for kids, s in _match_steps(instance, 0, acts, Substitution(), ctx):
-        yield _TmpNode(root_schema, instance, kids), s
+        yield (instance,) + kids, s
 
 
 def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
@@ -137,21 +137,21 @@ def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
         [(root, acts) for root in roots[acts[0].functor]] if meta
         else [("refer", order) for order in canonical_orders(acts)]
     )
-    parses: list[tuple[_TmpNode, Substitution]] = []
+    parses: list[tuple[tuple[ActionSchema, ...], Substitution]] = []
     seen: set[str] = set()
     for root, order in readings:
-        for tmp, s in parse_with_root(root, order, ctx):
-            sig = _parse_signature(tmp, s)
+        for tree, s in parse_with_root(root, order, ctx):
+            sig = _parse_signature(tree, s)
             if sig not in seen:
                 seen.add(sig)
-                parses.append((tmp, s))
+                parses.append((tree, s))
     if not parses:
         return InferenceResult(Verdict.NO_DERIVATION)
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = []
-    for tmp, s in parses:
+    for tree, s in parses:
         nodes: dict[str, NodeRecord] = {}
         pid = ctx.names.plan_name().name  # minted before the plan's nodes
-        plan = PlanDerivation(pid, _materialize_node(tmp, nodes, ctx), nodes, s, tmp.instance.effect)
+        plan = PlanDerivation(pid, _materialize_node(iter(tree), nodes, ctx), nodes, s, tree[0].effect)
         ctx.register(plan)
         result = evaluate(plan, ctx)
         plan.bindings = result.bindings

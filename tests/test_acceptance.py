@@ -109,7 +109,6 @@ def test_criterion_opening_description_has_one_blocked_reading():
     ms = golden_state()
     result = ms.hearer_step(opening_request(ms))
     assert result.kind is Verdict.ERROR_AT
-    assert result.parse_count == 1
     assert len(result.candidates) == 1
     plan, verdict = result.candidates[0]
     assert not verdict.valid
@@ -138,7 +137,6 @@ def test_criterion_replacement_bundle_disambiguates():
     ms.names.note_entity("entity3")
     result = ms.hearer_step([bundle])
     assert result.kind is Verdict.UNDERSTOOD
-    assert result.parse_count == 2
     assert len(result.candidates) == 2
     by_schema = {p.nodes[p.root].schema: (p, v) for p, v in result.candidates}
     assert set(by_schema) == {"replace-plan", "expand-plan"}
@@ -282,6 +280,9 @@ def test_criterion_replay_matches_checked_in_transcript():
     assert transcript.ok
     pinned = (DATA_DIR / "weird_creature_events.txt").read_text()
     assert transcript.text() == pinned
+    # a long turn the parse dedups by shape, heard in error and rejected
+    long_turn = run_text((DATA_DIR / "long_turn.scn").read_text())
+    assert long_turn.text() == (DATA_DIR / "long_turn_events.txt").read_text()
 
     flat = rule_numbers(transcript.lines)
     assert flat == [1, 3, 4, 8, 1, 2, 5, 9, 1, 2, 6, 1, 2, 5, 1, 2, 6, 3, 10, 1, 2, 7]

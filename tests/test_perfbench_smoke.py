@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # seed 1, first pass
 OUTPUTS_SHA256 = {
-    "dialogue": "439dc6bd208ad39c50a418da9dbe9130116e8b94a7fcd1e6c8f12d7b397bc0c8",
+    "dialogue": "6062def051dc11f6c776d6a92bf88d502425218998310a2f68c648127572bc2a",
     "describe": "b8374f331a2b791e8afeb0c86d752975a7b967b68533b8ebdfcfca55b4f9fae4",
     "refuse": "1b2470f087f52f60537f81221b0106db3c02b9a2042bb4636dcdab911dacd6dc",
 }

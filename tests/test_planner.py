@@ -28,7 +28,7 @@ from collabref import (
     mk,
     run_text,
 )
-from collabref import beliefs, collab, planner
+from collabref import beliefs, collab, planner, schemas
 from collabref.beliefs import SYSTEM, USER, BeliefBase
 from collabref.planner import solve
 from collabref.schemas import StepKind
@@ -293,7 +293,6 @@ def test_opening_description_with_two_candidates_is_judged_in_error():
     ms = golden_state()
     result = ms.hearer_step(opening_request(ms))
     assert result.kind is Verdict.ERROR_AT
-    assert result.parse_count == 1
     assert len(result.candidates) == 1
     plan, ev = result.candidates[0]
     assert not ev.valid
@@ -642,16 +641,37 @@ def test_construction_resolves_repair_plan_ids_in_the_effect():
     assert ms.ctx.plan_judgments[new_pid.name][0] == "achieve"
 
 
-def test_construction_names_every_root_before_it_expands_one():
-    # reject-plan and postpone-plan share an effect: their roots are n11 and
-    # n12, and only then do their steps get n13 and n14. Expanding each root
-    # as it is found would name the postpone plan's root n13.
-    ms = golden_state()
-    ms.hearer_step(opening_request(ms))
-    ms.speaker_step()
-    plan = ms.ctx.plan("p15")
-    assert (plan.nodes[plan.root].schema, plan.root) == ("postpone-plan", "n12")
-    assert [i.child for i in plan.nodes[plan.root].items if i.child is not None] == ["n14"]
+# A modifier the search tries and abandons: its act is new, and no fact
+# answers its bmb, so no plan ever holds it.
+UNUSED_MODIFIER = """
+schema modifier-never(Entity, Object, Cand, NewCand) specializes modifier
+  constraint modifier-pred(Pred)
+  constraint bmb(Speaker, Hearer, never(Object, Pred))
+  constraint subset(Cand, lambda(X, bmb(Speaker, Hearer, apply(Pred, X))), NewCand)
+  primitive s-never(Entity, Pred)
+"""
+
+
+def test_a_schema_the_search_tries_and_abandons_changes_no_id(monkeypatch):
+    golden = (DATA_DIR / "weird_creature_events.txt").read_text()
+    tried = 0
+    real_instantiate = planner.ActionSchema.instantiate
+
+    def counting(self, names):
+        nonlocal tried
+        tried += self.name == "modifier-never"
+        return real_instantiate(self, names)
+
+    monkeypatch.setattr(schemas, "_LIBRARY_TEXT", schemas._LIBRARY_TEXT + UNUSED_MODIFIER)
+    monkeypatch.setattr(planner.ActionSchema, "instantiate", counting)
+    schemas._library.cache_clear()
+    try:
+        assert "modifier-never" in schemas.build_library(NameSource()).concrete("modifier")
+        said = run_text((SCENARIO_DIR / "weird_creature.scn").read_text()).text()
+    finally:
+        schemas._library.cache_clear()
+    assert tried > 0
+    assert said == golden
 
 
 # -- dead-end pruning ------------------------------------------------------------
@@ -941,7 +961,7 @@ def description_lines(rng):
 
 def parse_signatures(ctx, root, acts):
     derived = planner._derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0)
-    return [planner._parse_signature(tmp, s) for _, tmp, s in derived]
+    return [planner._parse_signature(tree, s) for _, tree, s in derived]
 
 
 def test_recognition_skips_only_splits_that_derive_nothing(monkeypatch):

@@ -314,18 +314,26 @@ def test_extra_variables_minted_before_the_run_leave_the_transcript_alone():
 
 
 def test_regenerated_transcript_renumbers_only_plan_and_node_ids():
-    # the transcript as it was when one counter numbered variables, plans
-    # and nodes alike
-    old = (DATA_DIR / "weird_creature_events_shared_counter.txt").read_text()
     new = (DATA_DIR / "weird_creature_events.txt").read_text()
-    old_ids, new_ids = PUBLIC_ID.findall(old), PUBLIC_ID.findall(new)
-    assert len(old_ids) == len(new_ids) > 0
-    renumber: dict[str, str] = {}
-    for was, now in zip(old_ids, new_ids):
-        assert was[0] == now[0]
-        assert renumber.setdefault(was, now) == now
-    assert len(set(renumber.values())) == len(renumber)
-    assert PUBLIC_ID.sub(lambda m: renumber[m.group()], old) == new
+    for old_file in (
+        # when one counter numbered variables, plans and nodes alike
+        "weird_creature_events_shared_counter.txt",
+        # when the search named every node it opened, and a goals bucket
+        # held each goal the system adopted
+        "weird_creature_events_search_ids.txt",
+    ):
+        old = "".join(
+            line for line in (DATA_DIR / old_file).read_text().splitlines(keepends=True)
+            if not line.startswith("belief + goals ")
+        )
+        old_ids, new_ids = PUBLIC_ID.findall(old), PUBLIC_ID.findall(new)
+        assert len(old_ids) == len(new_ids) > 0, old_file
+        renumber: dict[str, str] = {}
+        for was, now in zip(old_ids, new_ids):
+            assert was[0] == now[0]
+            assert renumber.setdefault(was, now) == now
+        assert len(set(renumber.values())) == len(renumber)
+        assert PUBLIC_ID.sub(lambda m: renumber[m.group()], old) == new, old_file
 
 
 def rename_words(text: str, mapping: dict[str, str]) -> str:
@@ -437,15 +445,15 @@ turns:
 
 
 def test_an_unbound_variable_of_the_effect_vouches_for_no_belief():
-    # the user clarifies p17, which no one holds in error. Each reading's
-    # effect, bel(system, goal(user, bel(system, bel(user, replace(p17,
+    # the user clarifies p11, which no one holds in error. Each reading's
+    # effect, bel(system, goal(user, bel(system, bel(user, replace(p11,
     # NewPlan))))), still holds NewPlan open, which must not be taken to
-    # assert bel(user, error(p17, ErrorNode))
+    # assert bel(user, error(p11, ErrorNode))
     lines = run_text(CLARIFY_A_SOUND_PLAN).lines
-    assert "cstate plan=p17 goal=knowref(system, user, entity1, fern1)" in lines
+    assert "cstate plan=p11 goal=knowref(system, user, entity1, fern1)" in lines
     assert [l for l in lines if l.startswith("inferred ")][-2:] == [
-        "inferred p34 replace-plan error-at n35",
-        "inferred p37 expand-plan error-at n38",
+        "inferred p22 replace-plan error-at n23",
+        "inferred p25 expand-plan error-at n26",
     ]
     assert lines[-2] == "not understood: that clarification does not hold up"
 
@@ -698,7 +706,7 @@ FUZZ_CASES = 300
 # far above any case's run time (tens of ms); a case over it is a near-hang
 FUZZ_CASE_SECONDS = 2.0
 # sha256 over every case's transcript text, or its ScenarioError message
-FUZZ_DIGEST = "4c35fbd0a7c4a777eaf4f80b0b5f94c295785eb997882e0412fe79b557c83ba3"
+FUZZ_DIGEST = "40be3908312b45f894ca1ab79421f6a1f6a622b6cc8485f742c7f34f6efa8ef4"
 
 
 def mutate(text: str, rng: random.Random) -> str:
