@@ -10,18 +10,18 @@ Three buckets of propositions, all held from the system's point of view:
 
 Stored propositions, and the patterns a query or a retraction reads them
 with, are compounds; anything else is a QueryError. A stored one may
-contain variables (read existentially); whether it is ground is recorded
-once, when it is asserted. Each bucket files its ground propositions
-under (functor, arity) and, when the first argument is a constant, under
-(functor, arity, constant) too, as WAM first-argument indexing does; it
-files its non-ground ones under (functor, arity) only. A query resolves
-its pattern's functor and first argument, takes the most specific key
-that fits, and unifies the ground propositions filed there as they are
-and the non-ground ones of the same functor and arity renamed apart, so
-callers never capture store variables; the candidates are merged back
-into insertion order. A retraction likewise tries only the propositions
-under its pattern's key, and drops the removed ones from the lists they
-are filed in.
+contain variables (read existentially); its groundness, and its `canon`
+key that keeps out alpha-equal copies, are taken once, when it is asserted.
+Each bucket files a ground proposition under (functor, arity) and, when
+the first argument is a constant, under (functor, arity, constant) too,
+as WAM first-argument indexing does, and a non-ground one under (functor,
+arity) only: one dict lookup per list. A query resolves its pattern's
+functor and first argument, takes the most specific key that fits, and
+unifies the ground propositions filed there as they are and the
+non-ground ones of the same functor and arity renamed apart, so callers
+never capture store variables; the candidates are merged back into
+insertion order. A retraction likewise tries only the propositions under
+its pattern's key, and drops the removed ones from the lists they are in.
 
 Renaming mints variables only, and variables have their own stream in a
 NameSource, so how many propositions a query renames moves no plan or
@@ -69,6 +69,7 @@ class Bucket(enum.Enum):
     COMMON_GROUND = "common_ground"
     PRIVATE = "private"
     USER_MODEL = "user_model"
+    __hash__ = object.__hash__  # each member is its one instance: hash in C, not Enum's Python
 
 
 @dataclass
@@ -84,33 +85,28 @@ Entry = tuple[int, Term, bool]
 
 
 class _Store:
-    """One bucket: its propositions in insertion order, plus their index."""
+    """One bucket: its propositions by `canon` key in insertion order, plus their index."""
 
     def __init__(self) -> None:
-        self.entries: list[Entry] = []
-        self.keys: set[str] = set()
+        self.entries: dict[str, Entry] = {}
         self.ground: dict[tuple, list[Entry]] = {}
         self.nonground: dict[tuple, list[Entry]] = {}
 
     def add(self, entry: Entry, key: str) -> None:
         _, prop, ground = entry
-        self.entries.append(entry)
-        self.keys.add(key)
-        top = (prop.functor, len(prop.args))
-        if not ground:
-            self.nonground.setdefault(top, []).append(entry)
-            return
-        self.ground.setdefault(top, []).append(entry)
-        if prop.args and isinstance(prop.args[0], Const):
-            self.ground.setdefault(top + (prop.args[0].name,), []).append(entry)
+        self.entries[key] = entry
+        functor, args = prop.functor, prop.args
+        (self.ground if ground else self.nonground).setdefault((functor, len(args)), []).append(entry)
+        if ground and args and type(args[0]) is Const:
+            self.ground.setdefault((functor, len(args), args[0].name), []).append(entry)
 
     def remove(self, gone: list[Entry]) -> None:
         """Drop these entries. Only the index lists of their functors are
         filtered, and no kept proposition is keyed again."""
         seqs = {seq for seq, _, _ in gone}
         tops = {(p.functor, len(p.args)) for _, p, _ in gone}
-        self.keys.difference_update(canon(p) for _, p, _ in gone)
-        self.entries = [e for e in self.entries if e[0] not in seqs]
+        for _, p, _ in gone:
+            del self.entries[canon(p)]
         for index in (self.ground, self.nonground):
             for key in [k for k in index if k[:2] in tops]:
                 kept = [e for e in index[key] if e[0] not in seqs]
@@ -163,7 +159,7 @@ class BeliefBase:
     # -- storage ------------------------------------------------------------
 
     def items(self, bucket: Bucket) -> list[Term]:
-        return [prop for _, prop, _ in self._stores[bucket].entries]
+        return [prop for _, prop, _ in self._stores[bucket].entries.values()]
 
     def filed(self, bucket: Bucket, pattern: Term) -> list[tuple[int, Term]]:
         """(insertion number, proposition) for each proposition filed where
@@ -173,18 +169,18 @@ class BeliefBase:
 
     def assert_prop(self, bucket: Bucket, prop: Term) -> bool:
         """Add a compound proposition; returns False if an alpha-equal one is present."""
-        if not isinstance(prop, Compound):
+        if type(prop) is not Compound:
             raise QueryError(f"a belief must be a compound, got {prop!r}")
         key, ground = canon_ground(prop)
         store = self._stores[bucket]
-        if key in store.keys:
+        if key in store.entries:
             return False
         store.add((next(self._seq), prop, ground), key)
         return True
 
     def holds(self, bucket: Bucket, prop: Term) -> bool:
         """Whether the bucket holds a proposition alpha-equal to prop."""
-        return canon(prop) in self._stores[bucket].keys
+        return canon(prop) in self._stores[bucket].entries
 
     def retract_matching(self, bucket: Bucket, pattern: Term) -> list[Term]:
         """Remove every proposition unifying with pattern; returns removals."""

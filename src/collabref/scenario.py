@@ -89,6 +89,7 @@ def load_scenario(text: str, names: NameSource) -> Scenario:
     sc = Scenario()
     declared: dict[str, int] = {}  # how often each object is declared
     section: str | None = None
+    facts = TermReader(names)  # facts are ground, so no variable outlives its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -109,7 +110,7 @@ def load_scenario(text: str, names: NameSource) -> Scenario:
                 declared[name] = declared.get(name, 0) + 1
             getattr(sc, section).extend(line.split())
         elif section in _FACT_SECTIONS:
-            getattr(sc, section).append(_read_fact(line, lineno, names, declared))
+            getattr(sc, section).append(_read_fact(line, lineno, facts, declared))
         else:
             sc.turns.append(_read_turn(head, rest, colon, lineno, names))
     _validate(sc, declared)
@@ -121,9 +122,9 @@ def _check_not_minted(what: str, name: str, lineno: int) -> None:
         raise ScenarioError(f"{what} name {name} has the form of a plan or node id", lineno)
 
 
-def _read_fact(line: str, lineno: int, names: NameSource, declared: dict[str, int]) -> Term:
+def _read_fact(line: str, lineno: int, reader: TermReader, declared: dict[str, int]) -> Term:
     try:
-        fact = TermReader(names).read(line)
+        fact = reader.read(line)
     except TermSyntaxError as err:
         raise ScenarioError(str(err), lineno) from err
     if not isinstance(fact, Compound) or not fact.args:

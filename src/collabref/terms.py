@@ -21,14 +21,15 @@ an argument that opens nothing inside its parent's loop, taking a word it
 has read before from its table. The solver walks only the top of a
 constraint; a query goal is resolved once, in `BeliefBase.query`.
 `canon_ground` gives a term's `canon` key and whether it is ground from
-that one walk, since the walk numbers the free variables anyway.
+that one walk, and a compound of constants its key from their names alone.
 
-The reader tokenizes with one compiled regular expression, which gives
-the tokens, and the first bad character, that a character-by-character
-scan with `str.isalnum` and `str.isspace` would: `\\w` is exactly
-`isalnum()` or `_` and `\\s` is exactly `isspace()`. It checks the tokens
-one by one only when one search of the text finds a character that is no
-word character, space or punctuation mark: a hyphen, or a bad character.
+A flat fact, `word(word, ..., word)` with `, ` between its arguments, is
+read by splitting the text and checking only the words not yet in the
+reader's table, minting nothing until all passed. Other text is tokenized
+by one regular expression, which gives the tokens, and the first bad
+character, that a scan with `str.isalnum` and `str.isspace` would: `\\w`
+is exactly `isalnum()` or `_` and `\\s` is exactly `isspace()`. It checks
+the tokens one by one only when a search finds a hyphen or a bad character.
 """
 
 from __future__ import annotations
@@ -399,8 +400,12 @@ def canon(t: Term, s: Substitution | None = None) -> str:
 
 
 def canon_ground(t: Term) -> tuple[str, bool]:
-    """canon(t), and whether t is ground, from the one walk: the walk
-    numbers t's free variables, so t is ground iff it numbered none."""
+    """canon(t) and whether t is ground: a compound of constants from their
+    names, any other term from one walk, ground iff it numbered no variable."""
+    if type(t) is Compound:
+        names = [a.name for a in t.args if type(a) is Const]
+        if len(names) == len(t.args):
+            return f"{t.functor}({','.join(names)})", True
     numbering: dict[int, int] = {}
     return _canon(t, {}, 0, numbering), not numbering
 
@@ -478,6 +483,7 @@ class TermReader:
     One reader instance keeps one table of the constants and named
     variables it has read, so every `E` in a turn's worth of text is the
     same variable, and a constant that repeats in a world is made once.
+    A flat compound `f(a, B)`, not a lambda, skips the tokenizer and `_parse`.
     """
 
     def __init__(self, names: NameSource):
@@ -485,6 +491,16 @@ class TermReader:
         self.words: dict[str, Const | Var] = {}
 
     def read(self, text: str) -> Term:
+        functor, _, rest = text.partition("(")
+        functor, rest = functor.strip(), rest.rstrip()
+        if rest[-1:] == ")" and functor != "lambda" and (functor.isalnum() or _WORD.fullmatch(functor)):
+            words = self.words
+            args = rest[:-1].split(", ")
+            for w in args:
+                if w not in words and not (w.isalnum() or _WORD.fullmatch(w)):
+                    break
+            else:
+                return Compound(functor, tuple([words.get(w) or self._word(w) for w in args]))
         tokens = _tokenize(text)
         term, pos = self._parse(tokens, 0, 0)
         if pos < len(tokens) and tokens[pos] == "=":
@@ -495,7 +511,7 @@ class TermReader:
 
     def _parse(self, tokens: list[str], pos: int, depth: int) -> tuple[Term, int]:
         """Parse one term whose enclosing structures number `depth`, building
-        each argument that opens nothing in the loop: a flat fact is one call."""
+        each argument that opens nothing in the loop."""
         if depth > MAX_TERM_DEPTH:
             raise TermSyntaxError(f"term nested deeper than {MAX_TERM_DEPTH} levels")
         end = len(tokens)
@@ -566,7 +582,8 @@ class TermReader:
 _PUNCTUATION = frozenset("()[],=")
 # a punctuation mark; a word, whose hyphens only join word characters
 # (s-refer); or any other non-space character, which `_tokenize` rejects
-_TOKEN = re.compile(r"[()\[\],=]|\w+(?:-+\w+)*|\S")
+_WORD = re.compile(r"\w+(?:-+\w+)*")
+_TOKEN = re.compile(rf"[()\[\],=]|{_WORD.pattern}|\S")
 _SUSPECT = re.compile(r"[^\w\s()\[\],=]")  # a hyphen or a bad character
 
 

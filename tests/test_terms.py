@@ -46,6 +46,7 @@ from collabref.terms import (
 
 from conftest import NESTED_KINDS, nested_text
 from reader_reference import ReferenceReader
+from worldgen import random_world
 
 UNIVERSE = [Const("a"), Const("b"), Const("c")]
 
@@ -307,23 +308,44 @@ def test_resolve_and_unify_make_no_call_on_a_constant(monkeypatch):
     assert calls == {"resolve": 3, "unify": 3}
 
 
-def test_reading_and_keying_a_flat_fact_make_one_call_each(monkeypatch):
-    calls = {"_parse": 0, "_canon": 0}
-    real_parse, real_canon = TermReader._parse, terms._canon
+def test_a_flat_fact_is_read_without_the_tokenizer_and_keyed_without_the_walk(monkeypatch):
+    calls = {"_tokenize": 0, "_parse": 0, "_canon": 0}
 
-    def counting_parse(self, tokens, pos, depth):
-        calls["_parse"] += 1
-        return real_parse(self, tokens, pos, depth)
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
 
-    def counting_canon(x, bound, depth, numbering):
-        calls["_canon"] += 1
-        return real_canon(x, bound, depth, numbering)
+    monkeypatch.setattr(terms, "_tokenize", counting("_tokenize", terms._tokenize))
+    monkeypatch.setattr(TermReader, "_parse", counting("_parse", TermReader._parse))
+    monkeypatch.setattr(terms, "_canon", counting("_canon", terms._canon))
+    reader = TermReader(NameSource())
+    for text in ("size(thing3, large)", "size(thing4, large)", "s-refer(entity1, thing3)"):
+        fact = reader.read(text)
+        assert canon_ground(fact) == (text.replace(" ", ""), True)
+    assert calls == {"_tokenize": 0, "_parse": 0, "_canon": 0}
+    # a nested or open term still takes the one general path
+    assert canon_ground(reader.read("f(g(a), X)")) == ("f(g(a),?0)", False)
+    assert calls["_tokenize"] == 1 and calls["_canon"] > 0
 
-    monkeypatch.setattr(TermReader, "_parse", counting_parse)
-    monkeypatch.setattr(terms, "_canon", counting_canon)
-    fact = TermReader(NameSource()).read("size(thing3, large)")
-    assert canon_ground(fact) == ("size(thing3,large)", True)
-    assert calls == {"_parse": 1, "_canon": 1}
+
+def test_every_worldgen_fact_takes_the_flat_path_and_agrees_with_the_references(monkeypatch):
+    """The traffic the flat path serves: each fact line of a seeded world,
+    relations included, is read as the reference reader reads it and keyed
+    as `canon` and `is_ground` key it, and none of them reaches the tokenizer."""
+    rng = random.Random(2711)
+    worlds = [random_world(rng, max_objects=8, max_preds=4, max_rels=2) for _ in range(80)]
+    assert any(w.relations for w in worlds)
+    real_tokenize, tokenized = terms._tokenize, []
+    monkeypatch.setattr(terms, "_tokenize", lambda text: tokenized.append(text) or real_tokenize(text))
+    for world in worlds:
+        lines = world.fact_lines()
+        assert read_each(TermReader, lines) == read_each(ReferenceReader, lines)
+        reader = TermReader(NameSource())
+        for t in map(reader.read, lines):
+            assert canon_ground(t) == (canon(t), is_ground(t))
+    assert tokenized == []
 
 
 def test_unify_finds_every_ground_common_instance():
@@ -890,6 +912,10 @@ def read_each(reader_class, texts: list[str]) -> list[str]:
 @example(["f(X, _, [Y, X = a = b], lambda(Z, g(Z, _)))", "h(X, _)"])
 @example(["f(a,)", "[a b]", "f(a", "", "a = ", "lambda(a, b)", "s--refer-"])
 @example([nested_text(kind, MAX_TERM_DEPTH + extra) for kind in NESTED_KINDS for extra in (0, 1)])
+# flat compounds and near misses: nothing may be minted before the reader commits to a path
+@example(["s-postpone(_, [])", "f(_, X)"])
+@example(["f( a , b )", "f()", "f(a,)", "lambda(X, Y)", "f(a-, b)", "f(a, b) = c"])
+@example(["f(a)(b)", "f(a, b))", "f(a,\u3000b)", "f(A, A)", "f(X, $)", "X(a, _, _)"])
 def test_reader_agrees_with_the_reference_reader(texts):
     assert read_each(TermReader, texts) == read_each(ReferenceReader, texts)
 
