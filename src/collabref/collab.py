@@ -144,7 +144,7 @@ class MentalState:
                 raise NotUnderstoodError("no reading of that makes sense here")
         result = infer(self.ctx, acts)
         for plan, verdict in result.candidates:
-            schema = plan.nodes[plan.root].schema
+            schema = plan.tree[0].name
             word = "valid" if verdict.valid else f"error-at {verdict.error_node}"
             self.log.add(f"inferred {plan.id} {schema} {word}")
         if not result.candidates:
@@ -189,7 +189,7 @@ class MentalState:
         self.uttered.add(canon(prop))
         self._assert(Bucket.COMMON_GROUND, prop)
         plan = self.ctx.registry[plan_id]
-        if plan.nodes[plan.root].schema == "refer":
+        if plan.tree[0].name == "refer":
             self.last_referring = plan_id
             self._judge(Const(plan_id), goal)
         self._apply_rules()
@@ -309,7 +309,7 @@ class MentalState:
     def _refashionable(self, b: dict[str, Term]) -> bool:
         """The erroneous node is a modifier step a repair can replace."""
         node, plan = b["N"], self.ctx.registry.get(b["P"].name)
-        if type(node) is not Const or plan is None or node.name not in plan.nodes:
+        if type(node) is not Const or plan is None or node.name not in plan.names:
             return False
         content = plan.content_of(node.name)
         return isinstance(content, Compound) and (content.functor, len(content.args)) in {

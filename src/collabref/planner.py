@@ -20,11 +20,12 @@ Three entry points share one constraint solver:
                   depth for the nesting cap, and a primitive takes no
                   work item at all.
 
-Parsing and search hold a plan tree as one thing, the tuple of its schema
-instances in pre-order: an instance's action steps take the subtrees after
-it, in step order. Only `_materialize_node` names a tree's nodes, in walk
-order, and only for a plan committed to: a reading `infer` judges, the
-plan `construct` returns, or a registered plan that replanning completes.
+Parsing, search and a committed plan hold a tree as one thing, the tuple
+of its schema instances in pre-order: an instance's action steps take the
+subtrees after it, in step order. Only `_name` names nodes, one per node
+in walk order, and only for a tree committed to: a reading `judge_parses`
+commits, the plan `construct` returns, or a subtree `_fill` splices into
+an open node of a registered plan that replanning completes.
 
 The schema library is the one table of the vocabulary all three read:
 which acts are surface acts, which roots a clarification act starts, and
@@ -44,7 +45,8 @@ whose shared template effect unifies with the goal. Replanning is the
 two-faced one: with its act list unbound it completes the plan and emits
 acts (generation); with acts given it derives them with the parse's own
 step instead (recognition), and its judgment of the repaired plan is kept
-for the dialogue layer. A plan's open nodes are read from its tree.
+for the dialogue layer. A plan's open nodes, and the refer depth and
+used modifiers a completion needs, are read from its tree by its one walk.
 """
 
 from __future__ import annotations
@@ -52,20 +54,13 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .beliefs import SYSTEM, BeliefBase, Perspective, _unit
 from .errors import NoPlanError, PlanError
-from .plans import (
-    NodeRecord,
-    PlanDerivation,
-    find_covering_node,
-    items_of,
-    substitute_node,
-    unify_bridged,
-)
-from .schemas import ActionSchema, SchemaLibrary, Step, StepKind
+from .plans import PlanDerivation, find_covering_node, node_content, substitute_node, unify_bridged
+from .schemas import ActionSchema, SchemaLibrary, StepKind
 from .terms import (
     Compound,
     Const,
@@ -145,7 +140,7 @@ class PlannerContext:
         if error_node is not None:
             self.plan_judgments[plan.id] = ("error", error_node)
             return
-        content = bindings.resolve(plan.nodes[plan.root].content)
+        content = bindings.resolve(plan.tree[0].head)
         if isinstance(content, Compound) and content.functor == "refer":
             content = content.args[1]
         self.plan_judgments[plan.id] = ("achieve", content)
@@ -277,7 +272,7 @@ def _solve_yield(t: Compound, s: Substitution, ctx: PlannerContext, clarifying: 
     target = _ref_plan(t.args[0], s, ctx)
     node, acts = s.walk(t.args[1]), s.resolve(t.args[2])
     if isinstance(node, Const):
-        if node.name not in target.nodes:
+        if node.name not in target.names:
             return []
         return _unit(unify(t.args[2], ListTerm(tuple(target.yield_of(node.name))), s))
     if not isinstance(acts, ListTerm):
@@ -295,7 +290,7 @@ def _solve_content(t: Compound, s: Substitution, ctx: PlannerContext, clarifying
     if isinstance(node, Var):
         named = target.action_nodes()
     else:
-        named = [node.name] if isinstance(node, Const) and node.name in target.nodes else []
+        named = [node.name] if isinstance(node, Const) and node.name in target.names else []
     sols = []
     for name in named:
         s2 = unify(node, Const(name), s)
@@ -362,12 +357,11 @@ def _replan_recognize(
     holes = target.unexpanded()
     if len(holes) != 1:
         raise PlanError(f"plan {target.id} has {len(holes)} open nodes, expected 1")
-    hole = holes[0]
-    content = target.bindings.resolve(target.nodes[hole].content)
-    if not isinstance(content, Compound):
-        raise PlanError(f"open node {hole} has no action content")
-    for _, tree, s1 in _derive(content, acts, s.merge(target.bindings), ctx, 0, 0):
-        _materialize_node(iter(tree), target.nodes, ctx, hole)
+    expected = target.content_of(holes[0])
+    if not isinstance(expected, Compound):
+        raise PlanError(f"open node {holes[0]} has no action content")
+    for _, tree, s1 in _derive(expected, acts, s.merge(target.bindings), ctx, 0, 0):
+        _fill(target, tree, ctx)
         target.bindings = s1
         verdict = evaluate(target, ctx)
         ctx.judge(target, verdict.bindings, verdict.error_node)
@@ -403,7 +397,7 @@ def evaluate(plan: PlanDerivation, ctx: PlannerContext) -> EvaluationResult:
     a pass commits nothing. An unprovable belief of the speaker's that their
     utterance asserts anyway is taken on trust."""
     s = plan.bindings
-    pending = [(owner, i.term) for owner, i in plan.walk() if i.child is None]
+    pending = [(path[-1], step.term) for path, step, name, _ in plan.walk() if name is None]
     # the pass in step order is always followed by a pass over what it deferred
     first = progress = True
     while pending and progress:
@@ -512,24 +506,35 @@ def _first_of_shape(kept: list, tree: tuple[ActionSchema, ...], s: Substitution)
     return True
 
 
-def _materialize_node(
-    tree: Iterator[ActionSchema], nodes: dict[str, NodeRecord], ctx: PlannerContext, name: str | None = None
-) -> str:
-    """Record the next instance of a pre-order plan tree, and its subtree,
-    in nodes, under the given name or a fresh one, minting the subtree's
-    names in walk order."""
-    instance = next(tree)
-    name = name or ctx.names.node_name().name
+def _name(tree: tuple[ActionSchema, ...], ctx: PlannerContext, first: str | None = None) -> tuple[str, ...]:
+    """The names of a pre-order tree's nodes, primitives included, in walk
+    order: the given name or a fresh one for its root, and a fresh one for
+    every other node, minted in that order."""
+    count = sum(1 + sum(st.kind is StepKind.PRIMITIVE for st in instance.steps) for instance in tree)
+    mint = ctx.names.node_name
+    return (first or mint().name,) + tuple(mint().name for _ in range(count - 1))
 
-    def child(step: Step) -> str:
-        if step.kind is StepKind.ACTION:
-            return _materialize_node(tree, nodes, ctx)
-        leaf = ctx.names.node_name().name
-        nodes[leaf] = NodeRecord(leaf, "primitive", step.term)
-        return leaf
 
-    nodes[name] = NodeRecord(name, instance.name, instance.head, items_of(instance.steps, child))
-    return name
+def _fill(plan: PlanDerivation, chosen: tuple[ActionSchema, ...], ctx: PlannerContext) -> None:
+    """Put the subtrees of chosen, in turn, in place of the plan's open
+    nodes, in pre-order. A subtree ends where its instances' action steps
+    have had all their subtrees. Each open node keeps its name, and the
+    nodes under it are named in walk order."""
+    tree, names, at = [], [], 0
+    for _, _, name, node in plan.walk():
+        if node is not None and type(node) is not ActionSchema:
+            end, pending = at, 1
+            while pending:
+                pending += sum(st.kind is StepKind.ACTION for st in chosen[end].steps) - 1
+                end += 1
+            tree += chosen[at:end]
+            names += _name(chosen[at:end], ctx, name)
+            at = end
+        elif name is not None:
+            names.append(name)
+            if node is not None:
+                tree.append(node)
+    plan.tree, plan.names = tuple(tree), tuple(names)
 
 
 def _parse_signature(tree: tuple[ActionSchema, ...], s: Substitution) -> str:
@@ -554,13 +559,22 @@ def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
         # state mints, and so copies nothing
         for _, tree, s in _derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0):
             parses.append((tree, s))
+    return judge_parses(ctx, parses, meta)
+
+
+def judge_parses(
+    ctx: PlannerContext, parses: list[tuple[tuple[ActionSchema, ...], Substitution]], meta: bool
+) -> InferenceResult:
+    """Commit each parse as a registered plan, judge it, and sum up: one
+    valid reading is understood, several readings are ambiguous, and a
+    single invalid one is in error where its evaluation blamed it. The
+    judgment of a clarification (meta) is left to replanning."""
     if not parses:
         return InferenceResult(Verdict.NO_DERIVATION)
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = []
     for tree, s in parses:
-        nodes: dict[str, NodeRecord] = {}
         pid = ctx.names.plan_name().name  # minted before the plan's nodes
-        plan = PlanDerivation(pid, _materialize_node(iter(tree), nodes, ctx), nodes, s, tree[0].effect)
+        plan = PlanDerivation(pid, tree, _name(tree, ctx), s, tree[0].effect)
         ctx.register(plan)
         result = evaluate(plan, ctx)
         plan.bindings = result.bindings
@@ -662,7 +676,7 @@ class _Search:
         branches = [(s2, state.used) for s2 in sols]
         if t.functor == "subset" and modifier:
             # a modifier must narrow the candidates and add a new restriction
-            keyed = [(s2, modifier_key(owner.head, owner.steps, s2)) for s2 in sols if self._shrinks(t, s2)]
+            keyed = [(s2, modifier_key(owner, s2)) for s2 in sols if self._shrinks(t, s2)]
             branches = [(s2, state.used | {k}) for s2, k in keyed if k not in state.used]
         for s2, used in branches:
             self.push(_BuildState(state.queue, s2, used, state.chosen, state.prims, state.size))
@@ -695,24 +709,24 @@ class _Search:
         )
 
 
-def modifier_key(content: Term, items: tuple, s: Substitution) -> tuple[str, str, str]:
-    """Identity of a modifier: its entity, its predicate, and the value or
-    other object it relates the entity's referent to. Its constraints are
-    read from items, a node's items or an instance's steps alike."""
-    content = s.resolve(content)
-    assert isinstance(content, Compound)
+def modifier_key(instance: ActionSchema, s: Substitution) -> tuple[str, str, str]:
+    """Identity of a modifier instance: its entity, its predicate, and the
+    value or other object it relates the entity's referent to, read from
+    its head and its constraint steps."""
+    head = s.resolve(instance.head)
+    assert isinstance(head, Compound)
     pred = other = ""
-    for item in items:
-        if item.kind is not StepKind.CONSTRAINT:
+    for step in instance.steps:
+        if step.kind is not StepKind.CONSTRAINT:
             continue
-        c = s.resolve(item.term)
+        c = s.resolve(step.term)
         if isinstance(c, Compound) and c.functor in ("modifier-pred", "modifier-rel-pred"):
             pred = canon(c.args[0])
         if isinstance(c, Compound) and c.functor == "bmb":
             inner = c.args[2]
             if isinstance(inner, Compound) and len(inner.args) == 2:
                 other = canon(inner.args[1])
-    return (canon(content.args[0]), pred, other)
+    return (canon(head.args[0]), pred, other)
 
 
 def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
@@ -734,9 +748,8 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
     if not search.heap:
         raise NoPlanError(f"no schema can achieve {format_term(goal)}")
     final = search.run()
-    nodes: dict[str, NodeRecord] = {}
-    root = _materialize_node(iter(final.chosen), nodes, ctx)
-    plan = PlanDerivation(ctx.names.plan_name().name, root, nodes, final.s, final.chosen[0].effect)
+    names = _name(final.chosen, ctx)
+    plan = PlanDerivation(ctx.names.plan_name().name, final.chosen, names, final.s, final.chosen[0].effect)
     ctx.register(plan)
     _judge_built(plan, ctx)
     return plan
@@ -750,30 +763,27 @@ def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDer
     the plan uses, which it may not reuse. The open nodes keep their names,
     and the nodes under them are named once the search ends."""
     s, modifiers = partial.bindings, ctx.library.concrete("modifier")
-    depths: dict[str | None, int] = {None: 0}
-    holes, used = [], set()
-    edges = [(None, partial.root)] + [(o, i.child) for o, i in partial.walk() if i.kind is StepKind.ACTION]
-    for owner, name in edges:
-        rec = partial.nodes[name]
-        depths[name] = depths[owner] + (rec.content.functor == "refer")
-        if not rec.items:
+    depths: dict[str, int] = {}
+    holes, queue, used = [], [], set()
+    for path, _, name, node in partial.walk():
+        if node is None:
+            continue
+        depth = depths[name] = (depths[path[-1]] if path else 0) + (node_content(node).functor == "refer")
+        if type(node) is not ActionSchema:
             holes.append(name)
-        elif rec.schema in modifiers:
-            used.add(modifier_key(rec.content, rec.items, s))
+            queue.append(("expand", node, depth))
+        elif node.name in modifiers:
+            used.add(modifier_key(node, s))
     search = _Search(ctx)
-    queue = tuple(("expand", partial.nodes[n].content, depths[n]) for n in holes)
-    search.push(_BuildState(queue, s, frozenset(used), size=len(partial.nodes)))
+    search.push(_BuildState(tuple(queue), s, frozenset(used), size=len(partial.names)))
     final = search.run()
-    kept = set(partial.nodes)
-    chosen = iter(final.chosen)
-    for hole in holes:
-        _materialize_node(chosen, partial.nodes, ctx, hole)
+    _fill(partial, final.chosen, ctx)
     partial.bindings = final.s
     _judge_built(partial, ctx)
-    return partial, [partial.content_of(n) for n in partial.yield_node_names() if n not in kept]
+    return partial, [act for hole in holes for act in partial.yield_of(hole)]
 
 
 def _judge_built(plan: PlanDerivation, ctx: PlannerContext) -> None:
     """Record a built referring plan as achieving its referent."""
-    if plan.nodes[plan.root].schema == "refer":
+    if plan.tree[0].name == "refer":
         ctx.judge(plan, plan.bindings)

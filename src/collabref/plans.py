@@ -1,106 +1,97 @@
 """Plan derivations: trees of action nodes over surface primitives.
 
-A derivation is a registry-owned record: named nodes, a root, and the
-substitution that accumulated while the plan was built or recognized.
-Node names are only meaningful inside their own plan. Plans are referred
-to from belief propositions by their id constant (p7, p31, ...), so the
-registry is the bridge between the belief world and plan structure.
+A derivation is a registry-owned record: a tree, the names of its nodes,
+and the substitution that accumulated while the plan was built or
+recognized. Node names are only meaningful inside their own plan. Plans
+are referred to from belief propositions by their id constant (p7, p31,
+...), so the registry is the bridge between the belief world and plan
+structure.
 
-A node holds one item per step of its schema, of that step's kind: a
-constraint or mental step keeps its term, and a primitive or action step
-names the child node it opened. So a walk tells surface acts from action
-nodes by the item alone.
+The tree is the one the parse and the search build: the schema instances
+in pre-order, each instance's action steps taking the subtrees after it,
+in step order, and an open node held as its content. A primitive has no
+entry of its own; it is its step. The names cover every node, primitives
+included, in walk order. One walk reads both, and every question about a
+plan's shape is asked of it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import PlanError
-from .schemas import SchemaLibrary, Step, StepKind
-from .terms import (
-    Compound,
-    ListTerm,
-    NameSource,
-    Substitution,
-    Term,
-    format_term,
-    unify,
-)
+from .schemas import ActionSchema, SchemaLibrary, Step, StepKind
+from .terms import Compound, ListTerm, NameSource, Substitution, Term, unify
+
+# A walk entry: (path, step, name, node). See `walk`.
+Entry = tuple[tuple[str, ...], Step | None, str | None, "ActionSchema | Term | None"]
 
 
-@dataclass(frozen=True)
-class Item:
-    """A schema step in a plan node: a constraint or mental step's term, or
-    the name of the node a primitive or action step opened."""
+def walk(tree: Iterable, names: Iterable[str]) -> Iterator[Entry]:
+    """Every node of a pre-order tree and every step of its instances, in
+    step order: a node comes right after the step that opens it, and its
+    steps right after it. An entry is (path, step, name, node): the names
+    of the action nodes above it, root first; the step of the last of them
+    it is for (None for the root); the name of the node the step opens
+    (None for a constraint or mental step); and an action node's tree
+    entry (None for a step or a primitive). The tree is read as the walk
+    reaches each entry."""
+    tree, names = iter(tree), iter(names)
 
-    kind: StepKind
-    term: Term | None = None
-    child: str | None = None
+    def visit(path: tuple[str, ...], step: Step | None, node) -> Iterator[Entry]:
+        name = next(names)
+        yield path, step, name, node
+        if type(node) is ActionSchema:
+            path += (name,)
+            for st in node.steps:
+                if st.kind is StepKind.ACTION:
+                    yield from visit(path, st, next(tree))
+                else:
+                    yield path, st, next(names) if st.kind is StepKind.PRIMITIVE else None, None
+
+    return visit((), None, next(tree))
 
 
-@dataclass
-class NodeRecord:
-    """A plan node. An action node with no items is still open: every
-    concrete schema has a step, so an expanded node always has some."""
-
-    name: str
-    schema: str
-    content: Term
-    items: tuple[Item, ...] = ()
-
-    @property
-    def primitive(self) -> bool:
-        return self.schema == "primitive"
+def node_content(node) -> Term:
+    """An action node's content: its instance's head, or what it holds while open."""
+    return node.head if type(node) is ActionSchema else node
 
 
 @dataclass
 class PlanDerivation:
     id: str
-    root: str
-    nodes: dict[str, NodeRecord]
+    tree: tuple
+    names: tuple[str, ...]
     bindings: Substitution
     root_effect: Term | None = None
 
-    def node(self, name: str) -> NodeRecord:
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise PlanError(f"plan {self.id} has no node {name}") from None
+    @property
+    def root(self) -> str:
+        return self.names[0]
+
+    def walk(self) -> Iterator[Entry]:
+        return walk(self.tree, self.names)
 
     def content_of(self, name: str) -> Term:
-        return self.bindings.resolve(self.node(name).content)
-
-    def walk(self, name: str | None = None) -> list[tuple[str, Item]]:
-        """(owner, item) for every item under a node, in step order; a
-        child's items come right after the item that names that child."""
-        out: list[tuple[str, Item]] = []
-
-        def visit(owner: str) -> None:
-            for item in self.nodes[owner].items:
-                out.append((owner, item))
-                if item.kind is StepKind.ACTION:
-                    visit(item.child)
-
-        visit(name or self.root)
-        return out
+        for _, step, n, node in self.walk():
+            if n == name:
+                return self.bindings.resolve(step.term if node is None else node_content(node))
+        raise PlanError(f"plan {self.id} has no node {name}")
 
     def action_nodes(self) -> list[str]:
         """Non-primitive node names, pre-order."""
-        return [self.root] + [i.child for _, i in self.walk() if i.kind is StepKind.ACTION]
-
-    def yield_node_names(self, name: str | None = None) -> list[str]:
-        """Names of primitive leaves under a node, in utterance order."""
-        if name is not None and self.nodes[name].primitive:
-            return [name]
-        return [i.child for _, i in self.walk(name) if i.kind is StepKind.PRIMITIVE]
+        return [n for _, _, n, node in self.walk() if node is not None]
 
     def yield_of(self, name: str | None = None) -> list[Term]:
-        return [self.content_of(n) for n in self.yield_node_names(name)]
+        """The surface acts under a node, or the whole plan's, in utterance order."""
+        return [
+            self.bindings.resolve(step.term) for path, step, n, node in self.walk()
+            if node is None and n is not None and (name is None or name == n or name in path)
+        ]
 
     def unexpanded(self) -> list[str]:
-        return [n for n, rec in self.nodes.items() if not rec.primitive and not rec.items]
+        return [n for _, _, n, node in self.walk() if node is not None and type(node) is not ActionSchema]
 
 
 def unify_bridged(
@@ -132,50 +123,28 @@ def find_covering_node(
 
     Matching unifies the two act lists, so the caller's acts may contain
     variables. Returns None when no node matches or when two incomparable
-    nodes do. One walk lists the surface acts in utterance order and, for
-    each action node in pre-order, the stretch of the walk and of the acts
-    that lies under it.
+    nodes do. One walk lists the surface acts in utterance order and the
+    action nodes in pre-order, each with the action nodes above it.
     """
-    leaves: list[Term] = []
-    under: dict[str, tuple[int, ...]] = {}
-
-    def visit(name: str) -> None:
-        start, first = len(under), len(leaves)
-        under[name] = ()  # keeps the node's place in pre-order
-        for item in plan.nodes[name].items:
-            if item.kind is StepKind.PRIMITIVE:
-                leaves.append(plan.content_of(item.child))
-            elif item.kind is StepKind.ACTION:
-                visit(item.child)
-        under[name] = (start, len(under), first, len(leaves))
-
-    visit(plan.root)
+    leaves: list[tuple[tuple[str, ...], Term]] = []
+    actions: list[tuple[tuple[str, ...], str]] = []
+    for path, step, name, node in plan.walk():
+        if node is not None:
+            actions.append((path, name))
+        elif name is not None:
+            leaves.append((path, plan.bindings.resolve(step.term)))
     wanted = ListTerm(tuple(acts))
-    matches: list[tuple[str, Substitution]] = []
-    for name, (_, _, first, last) in under.items():
-        cur = unify(wanted, ListTerm(tuple(leaves[first:last])), s) if last - first == len(acts) else None
+    matches: list[tuple[tuple[str, ...], str, Substitution]] = []
+    for path, name in actions:
+        under = [act for above, act in leaves if name in above]
+        cur = unify(wanted, ListTerm(tuple(under)), s) if len(under) == len(acts) else None
         if cur is not None:
-            matches.append((name, cur))
-    # keep only matches with no matching descendant, which follow them in pre-order
-    deepest = [
-        (name, sub) for name, sub in matches
-        if not any(under[name][0] < under[other][0] < under[name][1] for other, _ in matches)
-    ]
+            matches.append((path, name, cur))
+    # keep only the matches that no other match lies under
+    deepest = [(name, sub) for _, name, sub in matches if not any(name in above for above, _, _ in matches)]
     if len(deepest) != 1:
         return None
     return deepest[0]
-
-
-def items_of(steps: tuple[Step, ...], child: Callable[[Step], str]) -> tuple[Item, ...]:
-    """A schema's steps as plan items. child(step) names the node of each
-    primitive or action step; it is called once for each, in step order."""
-    return tuple([
-        Item(st.kind, child=child(st)) if st.kind in _NODE_STEPS else Item(st.kind, st.term)
-        for st in steps
-    ])
-
-
-_NODE_STEPS = (StepKind.PRIMITIVE, StepKind.ACTION)
 
 
 def substitute_node(
@@ -185,59 +154,40 @@ def substitute_node(
     library: SchemaLibrary,
     names: NameSource,
 ) -> tuple[PlanDerivation, Substitution]:
-    """A copy of the plan with one action node swapped for an unexpanded one.
+    """A copy of the plan with one action node swapped for an open one.
 
-    The copy is rebuilt from fresh schema instances so no stale bindings
-    leak in; kept primitives are pinned by unifying the fresh instance
-    against the old node's fully resolved content. Kept nodes keep their
-    names, which keeps node references in older beliefs meaningful across
-    the family of plans. The target node's content unifies (bridged) with
-    the replacement, and its old subtree is dropped.
+    The target's subtree is cut and the replacement is put in its place,
+    as the open node's content. Every other node keeps its name, which
+    keeps node references in older beliefs meaningful across the family of
+    plans. The copy is bound afresh, so no stale bindings leak in: along
+    the tree, each kept instance is copied again and its head unifies
+    (bridged) with its parent's step, the replacement with the target's,
+    and each kept primitive is pinned to the old node's fully resolved
+    content.
     """
-    if target not in plan.nodes or plan.nodes[target].primitive:
+    tree, kept, said = [], [], {}
+    for path, step, name, node in plan.walk():
+        if name is None or target in path:
+            continue
+        kept.append(name)
+        if node is None:
+            said[name] = step.term
+        else:
+            tree.append(replacement if name == target else node)
+    if target not in kept[1:] or target in said:
         raise PlanError(f"cannot replace node {target} of plan {plan.id}")
-    new_nodes: dict[str, NodeRecord] = {}
-    s = Substitution()
-    root_effect: Term | None = None
-
-    def rebuild(old_name: str, expected: Term | None) -> str:
-        nonlocal s, root_effect
-        old = plan.nodes[old_name]
-        if old_name == target:
-            assert expected is not None
-            s2 = unify_bridged(expected, replacement, s, library)
-            if s2 is None:
-                raise PlanError(
-                    f"replacement {format_term(replacement)} does not fit slot of {target}"
-                )
-            s = s2
-            new_nodes[old_name] = NodeRecord(old_name, s.resolve(replacement).functor, replacement)
-            return old_name
-        if old.primitive:
-            assert expected is not None
-            s2 = unify(expected, plan.content_of(old_name), s)
-            if s2 is None:
-                raise PlanError(f"primitive {old_name} no longer fits during rebuild")
-            s = s2
-            new_nodes[old_name] = NodeRecord(old_name, old.schema, expected)
-            return old_name
-        schema = library.get(old.schema).instantiate(names)
-        if expected is not None:
-            s2 = unify_bridged(expected, schema.head, s, library)
-            if s2 is None:
-                raise PlanError(f"schema {old.schema} no longer fits during rebuild")
-            s = s2
-        if old_name == plan.root:
-            root_effect = schema.effect
-        kids = [i.child for i in old.items if i.child is not None]
-        if len(kids) != sum(st.kind in _NODE_STEPS for st in schema.steps):
-            raise PlanError(f"node {old_name} child count changed during rebuild")
-        kept = iter(kids)
-        items = items_of(schema.steps, lambda step: rebuild(next(kept), step.term))
-        new_nodes[old_name] = NodeRecord(old_name, old.schema, schema.head, items)
-        return old_name
-
-    rebuild(plan.root, None)
-    new_plan = PlanDerivation(names.plan_name().name, plan.root, new_nodes, s, root_effect)
+    fresh = (library.get(node.name).instantiate(names) if type(node) is ActionSchema else node for node in tree)
+    s, new_tree = Substitution(), []
+    for path, step, name, node in walk(fresh, kept):
+        if name is None:
+            continue
+        if node is None:
+            s2 = unify(step.term, plan.bindings.resolve(said[name]), s)
+        else:
+            new_tree.append(node)
+            s2 = unify_bridged(step.term, node_content(node), s, library) if path else s
+        if s2 is None:
+            raise PlanError(f"node {name} no longer fits its slot in plan {plan.id}")
+        s = s2
+    new_plan = PlanDerivation(names.plan_name().name, tuple(new_tree), tuple(kept), s, new_tree[0].effect)
     return new_plan, s
-

@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 
 from collabref.planner import (
-    EvaluationResult,
     InferenceResult,
     PlannerContext,
     Verdict,
-    _materialize_node,
     _parse_signature,
-    evaluate,
+    judge_parses,
 )
-from collabref.plans import NodeRecord, PlanDerivation, unify_bridged
+from collabref.plans import unify_bridged
 from collabref.schemas import ActionSchema, StepKind
 from collabref.terms import Compound, Lam, Substitution, Term, canon, unify
 
@@ -126,7 +124,8 @@ def parse_with_root(root_schema: str, acts: list[Term], ctx: PlannerContext):
 def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
     """`planner.infer` as it read before each head noun was chosen inside
     its entity's span: every canonical ordering is parsed, and a parse of a
-    shape already seen is dropped."""
+    shape already seen is dropped. The parses are committed and judged as
+    `infer` commits and judges its own."""
     if not all(ctx.library.is_surface_act(act) for act in acts):
         return InferenceResult(Verdict.NO_DERIVATION)
     roots = ctx.library.meta_roots
@@ -145,23 +144,4 @@ def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
             if sig not in seen:
                 seen.add(sig)
                 parses.append((tree, s))
-    if not parses:
-        return InferenceResult(Verdict.NO_DERIVATION)
-    candidates: list[tuple[PlanDerivation, EvaluationResult]] = []
-    for tree, s in parses:
-        nodes: dict[str, NodeRecord] = {}
-        pid = ctx.names.plan_name().name  # minted before the plan's nodes
-        plan = PlanDerivation(pid, _materialize_node(iter(tree), nodes, ctx), nodes, s, tree[0].effect)
-        ctx.register(plan)
-        result = evaluate(plan, ctx)
-        plan.bindings = result.bindings
-        if not meta:
-            ctx.judge(plan, result.bindings, result.error_node)
-        candidates.append((plan, result))
-    valid = [(p, r) for p, r in candidates if r.valid]
-    if len(valid) == 1:
-        return InferenceResult(Verdict.UNDERSTOOD, valid[0][0], None, candidates)
-    if valid or len(candidates) > 1:
-        return InferenceResult(Verdict.AMBIGUOUS, None, None, candidates)
-    plan, result = candidates[0]
-    return InferenceResult(Verdict.ERROR_AT, plan, result.error_node, candidates)
+    return judge_parses(ctx, parses, meta)

@@ -112,9 +112,9 @@ def test_criterion_opening_description_has_one_blocked_reading():
     assert len(result.candidates) == 1
     plan, verdict = result.candidates[0]
     assert not verdict.valid
-    node = plan.node(result.error_node)
-    assert node.schema == "modifiers-terminate"
-    survivors = verdict.bindings.resolve(node.content).args[2]
+    blocked = plan.content_of(result.error_node)  # resolved under verdict.bindings
+    assert blocked.functor == "modifiers-terminate"
+    survivors = blocked.args[2]
     assert isinstance(survivors, ListTerm)
     assert sorted(c.name for c in survivors.items) == ["antenna1", "fern1"]
     print("[PASS] opening description: one derivation, blocked where modifiers "
@@ -138,7 +138,7 @@ def test_criterion_replacement_bundle_disambiguates():
     result = ms.hearer_step([bundle])
     assert result.kind is Verdict.UNDERSTOOD
     assert len(result.candidates) == 2
-    by_schema = {p.nodes[p.root].schema: (p, v) for p, v in result.candidates}
+    by_schema = {p.tree[0].name: (p, v) for p, v in result.candidates}
     assert set(by_schema) == {"replace-plan", "expand-plan"}
     assert by_schema["replace-plan"][1].valid
     rejected_plan, rejected_verdict = by_schema["expand-plan"]
@@ -153,8 +153,8 @@ def test_criterion_replacement_bundle_disambiguates():
             )
         return False
     constraints = [
-        i.term for i in rejected_plan.nodes[rejected_plan.root].items
-        if i.kind is StepKind.CONSTRAINT
+        step.term for step in rejected_plan.tree[0].steps
+        if step.kind is StepKind.CONSTRAINT
     ]
     assert any(mentions_termination(t) for t in constraints)
     assert result.plan is by_schema["replace-plan"][0]
@@ -217,7 +217,7 @@ def test_criterion_error_dichotomy_over_random_worlds():
             "bel", USER, mk("bel", SYSTEM,
                             mk("error", Const(result.plan.id), Const(result.error_node))))))
         judgment = construct(ms.ctx, goal)
-        schema = judgment.nodes[judgment.root].schema
+        schema = judgment.tree[0].name
         act = judgment.yield_of()[0]
         if len(matches) > 1:
             assert schema == "postpone-plan", (trial, schema)
@@ -265,8 +265,8 @@ def test_criterion_construction_sound_minimal_invertible():
         echo = hearer.hearer_step(heard)
         assert echo.kind is Verdict.UNDERSTOOD, (trial, target)
         assert hearer.ctx.plan_judgments[echo.plan.id] == ("achieve", Const(target))
-        mine = sorted(plan.nodes[n].schema for n in plan.action_nodes())
-        theirs = sorted(echo.plan.nodes[n].schema for n in echo.plan.action_nodes())
+        mine = sorted(instance.name for instance in plan.tree)
+        theirs = sorted(instance.name for instance in echo.plan.tree)
         assert mine == theirs, (trial, mine, theirs)
     elapsed = time.perf_counter() - started
     assert built >= 30 and impossible >= 10, (built, impossible)

@@ -296,9 +296,8 @@ def test_opening_description_with_two_candidates_is_judged_in_error():
     assert len(result.candidates) == 1
     plan, ev = result.candidates[0]
     assert not ev.valid
-    node = plan.node(result.error_node)
-    assert node.schema == "modifiers-terminate"
-    blocked = ev.bindings.resolve(node.content)
+    blocked = plan.content_of(result.error_node)  # resolved under ev.bindings
+    assert blocked.functor == "modifiers-terminate"
     survivors = blocked.args[2]
     assert isinstance(survivors, ListTerm)
     assert [c.name for c in survivors.items] == ["antenna1", "fern1"]
