@@ -22,10 +22,15 @@ Three entry points share one constraint solver:
 
 Parsing, search and a committed plan hold a tree as one thing, the tuple
 of its schema instances in pre-order: an instance's action steps take the
-subtrees after it, in step order. Only `_name` names nodes, one per node
-in walk order, and only for a tree committed to: a reading `judge_parses`
-commits, the plan `construct` returns, or a subtree `_fill` splices into
-an open node of a registered plan that replanning completes.
+subtrees after it, in step order. Node ids are minted, one per node in
+walk order, only for a tree committed to. `_fill` is the one commit step
+for a plan made from a tree: it splices subtrees into the plan's open
+nodes, names their nodes (`_name`), evaluates the plan, judges it from
+that evaluation and keeps the evaluation's bindings. A reading that
+`judge_parses` commits is a plan whose one open node is its root, and
+replanning fills the node a repair left open, from a parse or from a
+search. Only `construct` commits without evaluating, since its search
+proved every step of the plan it returns.
 
 The schema library is the one table of the vocabulary all three read:
 which acts are surface acts, which roots a clarification act starts, and
@@ -43,10 +48,11 @@ the members some answer admits, so a filter costs one belief query
 however many candidates it reads. Construction copies only the schemas
 whose shared template effect unifies with the goal. Replanning is the
 two-faced one: with its act list unbound it completes the plan and emits
-acts (generation); with acts given it derives them with the parse's own
-step instead (recognition), and its judgment of the repaired plan is kept
-for the dialogue layer. A plan's open nodes, and the refer depth and
-used modifiers a completion needs, are read from its tree by its one walk.
+acts (generation), keeping the cheapest completion that holds; with acts
+given it derives them with the parse's own step instead (recognition).
+Either way the repaired plan's fill judges it, for the dialogue layer. A
+plan's open nodes, and the refer depth and kept modifiers a completion
+needs, are read from its tree by its one walk.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .beliefs import SYSTEM, BeliefBase, Perspective, _unit
@@ -361,14 +367,8 @@ def _replan_recognize(
     if not isinstance(expected, Compound):
         raise PlanError(f"open node {holes[0]} has no action content")
     for _, tree, s1 in _derive(expected, acts, s.merge(target.bindings), ctx, 0, 0):
-        _fill(target, tree, ctx)
-        target.bindings = s1
-        verdict = evaluate(target, ctx)
-        ctx.judge(target, verdict.bindings, verdict.error_node)
-        if verdict.valid:
-            target.bindings = verdict.bindings
-            return [s1.merge(verdict.bindings)]
-        return [s1]
+        verdict = _fill(target, tree, s1, ctx)
+        return [verdict.bindings if verdict.valid else s1]
     return []
 
 
@@ -515,9 +515,13 @@ def _name(tree: tuple[ActionSchema, ...], ctx: PlannerContext, first: str | None
     return (first or mint().name,) + tuple(mint().name for _ in range(count - 1))
 
 
-def _fill(plan: PlanDerivation, chosen: tuple[ActionSchema, ...], ctx: PlannerContext) -> None:
-    """Put the subtrees of chosen, in turn, in place of the plan's open
-    nodes, in pre-order. A subtree ends where its instances' action steps
+def _fill(
+    plan: PlanDerivation, chosen: tuple[ActionSchema, ...], s: Substitution, ctx: PlannerContext
+) -> EvaluationResult:
+    """Commit a plan made from a tree: put the subtrees of chosen, in turn,
+    in place of the plan's open nodes, in pre-order, under the bindings s,
+    then evaluate the plan, judge it from that evaluation and keep the
+    evaluation's bindings. A subtree ends where its instances' action steps
     have had all their subtrees. Each open node keeps its name, and the
     nodes under it are named in walk order."""
     tree, names, at = [], [], 0
@@ -534,7 +538,11 @@ def _fill(plan: PlanDerivation, chosen: tuple[ActionSchema, ...], ctx: PlannerCo
             names.append(name)
             if node is not None:
                 tree.append(node)
-    plan.tree, plan.names = tuple(tree), tuple(names)
+    plan.tree, plan.names, plan.bindings = tuple(tree), tuple(names), s
+    result = evaluate(plan, ctx)
+    ctx.judge(plan, result.bindings, result.error_node)
+    plan.bindings = result.bindings
+    return result
 
 
 def _parse_signature(tree: tuple[ActionSchema, ...], s: Substitution) -> str:
@@ -559,28 +567,23 @@ def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
         # state mints, and so copies nothing
         for _, tree, s in _derive(ctx.library.get(root).head, acts, Substitution(), ctx, 0, 0):
             parses.append((tree, s))
-    return judge_parses(ctx, parses, meta)
+    return judge_parses(ctx, parses)
 
 
 def judge_parses(
-    ctx: PlannerContext, parses: list[tuple[tuple[ActionSchema, ...], Substitution]], meta: bool
+    ctx: PlannerContext, parses: list[tuple[tuple[ActionSchema, ...], Substitution]]
 ) -> InferenceResult:
-    """Commit each parse as a registered plan, judge it, and sum up: one
-    valid reading is understood, several readings are ambiguous, and a
-    single invalid one is in error where its evaluation blamed it. The
-    judgment of a clarification (meta) is left to replanning."""
+    """Commit each parse as a registered plan, judged by its fill, and sum
+    up: one valid reading is understood, several readings are ambiguous,
+    and a single invalid one is in error where its evaluation blamed it."""
     if not parses:
         return InferenceResult(Verdict.NO_DERIVATION)
     candidates: list[tuple[PlanDerivation, EvaluationResult]] = []
     for tree, s in parses:
         pid = ctx.names.plan_name().name  # minted before the plan's nodes
-        plan = PlanDerivation(pid, tree, _name(tree, ctx), s, tree[0].effect)
+        plan = PlanDerivation(pid, (tree[0].head,), (ctx.names.node_name().name,), s, tree[0].effect)
         ctx.register(plan)
-        result = evaluate(plan, ctx)
-        plan.bindings = result.bindings
-        if not meta:
-            ctx.judge(plan, result.bindings, result.error_node)
-        candidates.append((plan, result))
+        candidates.append((plan, _fill(plan, tree, s, ctx)))
     valid = [(p, r) for p, r in candidates if r.valid]
     if len(valid) == 1:
         return InferenceResult(Verdict.UNDERSTOOD, valid[0][0], None, candidates)
@@ -596,21 +599,21 @@ def judge_parses(
 
 @dataclass
 class _BuildState:
-    """A plan under construction: its work queue, its bindings, the keys of
-    the modifiers it uses, the schema instances it chose, in pre-order, and
-    its cost so far, in primitives and then nodes."""
+    """A plan under construction: its work queue, its bindings, the schema
+    instances it chose, in pre-order, and its cost so far, in primitives and
+    then nodes."""
 
     queue: tuple
     s: Substitution
-    used: frozenset
     chosen: tuple[ActionSchema, ...] = ()
     prims: int = 0
     size: int = 0
 
 
 class _Search:
-    def __init__(self, ctx: PlannerContext):
+    def __init__(self, ctx: PlannerContext, kept: frozenset = frozenset()):
         self.ctx = ctx
+        self.kept = kept  # the keys of the modifiers a partial plan keeps
         self.heap: list = []
         self.seq = itertools.count()
         self.inseparable: dict[tuple[Const, Const], bool] = {}
@@ -618,7 +621,8 @@ class _Search:
     def push(self, state: _BuildState) -> None:
         heapq.heappush(self.heap, (state.prims, state.size, next(self.seq), state))
 
-    def run(self) -> _BuildState:
+    def run(self) -> Iterator[_BuildState]:
+        """The finished states, cheapest first."""
         pops = 0
         while self.heap:
             pops += 1
@@ -626,7 +630,8 @@ class _Search:
                 raise NoPlanError("construction search exceeded its budget")
             state = heapq.heappop(self.heap)[3]
             if not state.queue:
-                return state
+                yield state
+                continue
             (kind, what, arg), state.queue = state.queue[0], state.queue[1:]
             if kind == "expand":
                 self._expand(state, what, arg)
@@ -659,7 +664,7 @@ class _Search:
         )
         prims = len(instance.steps) - len(work)
         opened = prims + sum(w[0] == "expand" for w in work)
-        self.push(_BuildState(work + state.queue, s, state.used, state.chosen + (instance,),
+        self.push(_BuildState(work + state.queue, s, state.chosen + (instance,),
                               state.prims + prims, state.size + opened))
 
     def _prove(self, state: _BuildState, owner: ActionSchema, term: Term) -> None:
@@ -673,13 +678,14 @@ class _Search:
         modifier = owner.name in self.ctx.library.concrete("modifier")
         if t.functor == "subset" and (owner.name == "headnoun" or modifier):
             sols = [s2 for s2 in sols if not self._dead_end(owner, t, s2)]
-        branches = [(s2, state.used) for s2 in sols]
         if t.functor == "subset" and modifier:
-            # a modifier must narrow the candidates and add a new restriction
-            keyed = [(s2, modifier_key(owner, s2)) for s2 in sols if self._shrinks(t, s2)]
-            branches = [(s2, state.used | {k}) for s2, k in keyed if k not in state.used]
-        for s2, used in branches:
-            self.push(_BuildState(state.queue, s2, used, state.chosen, state.prims, state.size))
+            # a modifier must narrow its chain's candidates, so it never
+            # repeats one before it in the chain; nor may it repeat one the
+            # partial plan keeps
+            sols = [s2 for s2 in sols if self._shrinks(t, s2)
+                    and not (self.kept and modifier_key(owner, s2) in self.kept)]
+        for s2 in sols:
+            self.push(_BuildState(state.queue, s2, state.chosen, state.prims, state.size))
 
     def _dead_end(self, owner: ActionSchema, t: Compound, s: Substitution) -> bool:
         """Whether the candidates left by this subset still hold an object
@@ -744,27 +750,30 @@ def construct(ctx: PlannerContext, goal: Term) -> PlanDerivation:
         instance = schema.instantiate(ctx.names)
         s0 = unify(instance.effect, goal)
         assert s0 is not None
-        search.grow(_BuildState((), s0, frozenset(), size=1), instance, s0, int(instance.name == "refer"))
+        search.grow(_BuildState((), s0, size=1), instance, s0, int(instance.name == "refer"))
     if not search.heap:
         raise NoPlanError(f"no schema can achieve {format_term(goal)}")
-    final = search.run()
+    final = next(search.run())
     names = _name(final.chosen, ctx)
     plan = PlanDerivation(ctx.names.plan_name().name, final.chosen, names, final.s, final.chosen[0].effect)
     ctx.register(plan)
-    _judge_built(plan, ctx)
+    if plan.tree[0].name == "refer":  # the search proved every step
+        ctx.judge(plan, plan.bindings)
     return plan
 
 
 def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDerivation, list[Term]]:
-    """Expand a partial plan's open nodes, adding as few acts as possible;
-    the acts added are the surface acts of the finished tree that the
-    partial plan lacked, in utterance order. One walk finds the open nodes,
-    each with the refer nodes on its path from the root, and the modifiers
-    the plan uses, which it may not reuse. The open nodes keep their names,
-    and the nodes under them are named once the search ends."""
-    s, modifiers = partial.bindings, ctx.library.concrete("modifier")
+    """Expand a partial plan's open nodes, adding as few acts as possible,
+    into the cheapest completion that its fill finds valid; the acts added
+    are the surface acts of the finished tree that the partial plan lacked,
+    in utterance order. Without one, NoPlanError. One walk finds the open
+    nodes, each with the refer nodes on its path from the root, and the
+    modifiers the plan keeps, which it may not reuse. The open nodes keep
+    their names, and the nodes under them are named at each fill."""
+    tree, names, s = partial.tree, partial.names, partial.bindings
+    modifiers = ctx.library.concrete("modifier")
     depths: dict[str, int] = {}
-    holes, queue, used = [], [], set()
+    holes, queue, kept = [], [], set()
     for path, _, name, node in partial.walk():
         if node is None:
             continue
@@ -773,17 +782,10 @@ def complete_plan(partial: PlanDerivation, ctx: PlannerContext) -> tuple[PlanDer
             holes.append(name)
             queue.append(("expand", node, depth))
         elif node.name in modifiers:
-            used.add(modifier_key(node, s))
-    search = _Search(ctx)
-    search.push(_BuildState(tuple(queue), s, frozenset(used), size=len(partial.names)))
-    final = search.run()
-    _fill(partial, final.chosen, ctx)
-    partial.bindings = final.s
-    _judge_built(partial, ctx)
-    return partial, [act for hole in holes for act in partial.yield_of(hole)]
-
-
-def _judge_built(plan: PlanDerivation, ctx: PlannerContext) -> None:
-    """Record a built referring plan as achieving its referent."""
-    if plan.tree[0].name == "refer":
-        ctx.judge(plan, plan.bindings)
+            kept.add(modifier_key(node, s))
+    search = _Search(ctx, frozenset(kept))
+    search.push(_BuildState(tuple(queue), s, size=len(names)))
+    for final in search.run():  # which raises NoPlanError once its heap runs out
+        if _fill(partial, final.chosen, final.s, ctx).valid:
+            return partial, [act for hole in holes for act in partial.yield_of(hole)]
+        partial.tree, partial.names, partial.bindings = tree, names, s

@@ -66,10 +66,6 @@ class PlanDerivation:
     bindings: Substitution
     root_effect: Term | None = None
 
-    @property
-    def root(self) -> str:
-        return self.names[0]
-
     def walk(self) -> Iterator[Entry]:
         return walk(self.tree, self.names)
 

@@ -144,4 +144,4 @@ def infer(ctx: PlannerContext, acts: list[Term]) -> InferenceResult:
             if sig not in seen:
                 seen.add(sig)
                 parses.append((tree, s))
-    return judge_parses(ctx, parses, meta)
+    return judge_parses(ctx, parses)

@@ -145,7 +145,7 @@ def test_criterion_replacement_bundle_disambiguates():
     assert not rejected_verdict.valid
     # the losing reading dies on its own constraint demanding that the
     # shared error sit where the modifiers ran out, which it does not
-    assert rejected_verdict.error_node == rejected_plan.root
+    assert rejected_verdict.error_node == rejected_plan.names[0]
     def mentions_termination(t):
         if isinstance(t, Compound):
             return t.functor == "modifiers-terminate" or any(
@@ -283,6 +283,11 @@ def test_criterion_replay_matches_checked_in_transcript():
     # a long turn the parse dedups by shape, heard in error and rejected
     long_turn = run_text((DATA_DIR / "long_turn.scn").read_text())
     assert long_turn.text() == (DATA_DIR / "long_turn_events.txt").read_text()
+    # repairs whose completion search resumes past a plan that does not
+    # hold, and stops short of repeating a modifier the plan keeps
+    for name in ("repair_resume", "repair_no_repeat"):
+        repaired = run_text((DATA_DIR / f"{name}.scn").read_text())
+        assert repaired.text() == (DATA_DIR / f"{name}_events.txt").read_text(), name
 
     flat = rule_numbers(transcript.lines)
     assert flat == [1, 3, 4, 8, 1, 2, 5, 9, 1, 2, 6, 1, 2, 5, 1, 2, 6, 3, 10, 1, 2, 7]

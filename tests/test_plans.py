@@ -95,7 +95,7 @@ def reference_steps(plan):
 
 def schemas(plan):
     """The schema of each expanded action node, by name."""
-    nodes = [plan.root] + [c for _, step, c in reference_steps(plan) if step.kind is StepKind.ACTION]
+    nodes = [plan.names[0]] + [c for _, step, c in reference_steps(plan) if step.kind is StepKind.ACTION]
     return {n: node.name for n, node in zip(nodes, plan.tree) if isinstance(node, ActionSchema)}
 
 
@@ -124,7 +124,7 @@ def test_action_nodes_walk_skips_primitives():
     ms = referring_state()
     plan = build_refer(ms, "a1")
     actions = plan.action_nodes()
-    assert plan.root == actions[0]
+    assert plan.names[0] == actions[0]
     assert actions == list(schemas(plan))
     assert {"refer", "describe", "headnoun"} <= set(schemas(plan).values())
 
@@ -132,7 +132,7 @@ def test_action_nodes_walk_skips_primitives():
 def test_walk_puts_a_childs_items_right_after_the_item_naming_it():
     plan = build_refer(referring_state(rel=True), "a1")
     entries = list(plan.walk())
-    assert entries[0] == ((), None, plan.root, plan.tree[0])
+    assert entries[0] == ((), None, plan.names[0], plan.tree[0])
     assert [(path[-1], step, name) for path, step, name, _ in entries[1:]] == reference_steps(plan)
     leaf = next(c for _, step, c in reference_steps(plan) if step.kind is StepKind.PRIMITIVE)
     assert not any(leaf in path for path, *_ in entries)  # a leaf has no steps
@@ -144,7 +144,7 @@ def test_find_covering_node_full_single_and_none():
     plan = build_refer(ms, "a1")
     acts = plan.yield_of()
     hit = find_covering_node(plan, acts, plan.bindings)
-    assert hit is not None and hit[0] == plan.root
+    assert hit is not None and hit[0] == plan.names[0]
     single = find_covering_node(plan, [acts[1]], plan.bindings)
     assert single is not None
     name, s = single

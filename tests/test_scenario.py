@@ -10,8 +10,9 @@ from time import perf_counter
 
 import pytest
 
-from collabref import NameSource, ScenarioError, load_scenario, run_text
+from collabref import NameSource, ScenarioError, load_scenario, planner, run_text
 from collabref.cli import main
+from collabref.planner import complete_plan
 from collabref.scenario import run_scenario
 from collabref.terms import MAX_TERM_DEPTH, TermReader, is_ground
 
@@ -808,11 +809,23 @@ def long_turn(rng: random.Random, chain: int) -> str:
     )
 
 
-def test_long_turns_end_in_a_transcript_in_bounded_time():
+# a referring plan held to achieve a referent that is still a variable
+UNBOUND_ACHIEVE = re.compile(r"belief \+ private achieve\(p\d+, knowref\(.*, [A-Z_]\w*\)\)")
+
+
+def test_long_turns_end_in_a_transcript_in_bounded_time(monkeypatch):
     # chains of at most three entities: a deeper chain costs about three
     # times as many parse calls per level, which
     # test_planner.py::test_recognition_of_a_chain_of_relational_references_stays_polynomial
     # pins as a known failure
+    completions: list[bool] = []
+
+    def complete_and_check(partial, ctx):
+        completed, added = complete_plan(partial, ctx)
+        completions.append(planner.evaluate(completed, ctx).valid)
+        return completed, added
+
+    monkeypatch.setattr(planner, "complete_plan", complete_and_check)
     rng = random.Random(20261019)
     outcomes: Counter = Counter()
     longest = 0
@@ -824,5 +837,8 @@ def test_long_turns_end_in_a_transcript_in_bounded_time():
         elapsed = perf_counter() - start
         assert elapsed < FUZZ_CASE_SECONDS, (elapsed, text)
         assert transcript.lines[-1].startswith("dialogue "), text
+        # no repaired plan is held to find a referent it never bound
+        assert not any(UNBOUND_ACHIEVE.fullmatch(line) for line in transcript.lines), text
         outcomes[transcript.resolution is not None] += 1
     assert min(outcomes[True], outcomes[False]) >= 2 and longest >= 20, (outcomes, longest)
+    assert completions and all(completions), completions
